@@ -4,7 +4,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test smoke bench perf-trajectory profile crashtest lint lint-baseline typecheck
+.PHONY: test smoke bench perf-trajectory perfbench profile crashtest lint lint-baseline typecheck
 
 # Tier-1 verification: the full suite, exactly as CI runs it.
 test:
@@ -23,6 +23,12 @@ bench:
 # Append packet-steps/sec for the current tree to BENCH_engine.json.
 perf-trajectory:
 	python benchmarks/bench_report.py
+
+# The end-to-end benchmark's own tests (perfbench/, declared by
+# BENCHMARK.json): every workload at toy size, repeatable trace
+# counts, calibration and failed-case detection; about half a minute.
+perfbench:
+	python3 -m pytest perfbench/tests -q
 
 # Phase-time table for the benchmark configuration (lean kernel loop,
 # wall-clock timestamps from repro.obs.clock around each phase).

@@ -17,7 +17,8 @@ pipeline is preserved bit-for-bit:
   shuffles through the caller-supplied policy RNG so the sanctioned
   stream advances exactly as in the object kernel.
 
-This is the array kernel's inner loop for contended nodes, so the
+This is the columnar loop's per-node decision and the vectorized
+loop's fallback for the nodes its rank rounds mark hard, so the
 matching routines are written allocation-light: direction state lives
 in small lists indexed by direction (at most ``2 * dimension`` slots)
 and int bitmasks, and the ubiquitous uncontended case — a row whose

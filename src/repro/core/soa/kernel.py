@@ -11,9 +11,14 @@ state held in flat columns (:class:`PacketColumns`) instead of
 * *arc_assign* becomes a batched good-direction selection: good masks
   and distances for every packet arrive from ``d`` gathers into the
   mesh's per-axis packed tables
-  (:meth:`~repro.mesh.topology.Mesh.arc_tables`), single-packet nodes
-  are resolved wholesale, and only genuinely contended nodes fall back
-  to the integer matching pipeline of :mod:`.conflict`.
+  (:meth:`~repro.mesh.topology.Mesh.arc_tables`).  *Rank rounds* then
+  settle every node at once: round ``j`` gives the ``j``-th row, in
+  priority order, of each node still marked easy its lowest good
+  direction, provided that bit is still free in the node's taken
+  mask.  A taken bit, or a row with no good direction, marks the node
+  *hard*.  An easy node's answer is exactly the matching's own fast
+  path, so only hard nodes replay the integer matching-and-deflection
+  pipeline of :mod:`.conflict`.
 
 Two execution paths share the loop structure:
 
@@ -699,22 +704,40 @@ class SoaKernel:
                     counts = np.empty(0, dtype=np.int64)
                     max_load = bad_nodes = packets_in_bad = 0
 
+                # Rank rounds: round j gives the j-th row (priority
+                # order) of every node still marked easy its lowest
+                # good direction while that bit is free in the node's
+                # taken mask.  That is kuhn_match's and
+                # first_fit_match's own fast path, and resolve_node
+                # returns it unchanged once every row matched (random
+                # deflection never reaches this path).  A taken bit,
+                # or a row with no good direction, marks the node
+                # hard; only hard nodes replay the scalar pipeline.
                 dirs = np.empty(m, dtype=np.int64)
-                singles = counts == 1
-                srows = order[starts[singles]]
-                if srows.size:
-                    low = gm[srows] & -gm[srows]
-                    dirs[srows] = np.log2(
-                        low.astype(np.float64)
+                low = gm & -gm
+                taken = np.zeros(starts.size, dtype=np.int64)
+                easy = np.ones(starts.size, dtype=bool)
+                live = np.arange(starts.size)
+                for rank in range(max_load):
+                    live = live[counts[live] > rank]
+                    rows = order[starts[live] + rank]
+                    bits = low[rows]
+                    free = (bits != 0) & ((taken[live] & bits) == 0)
+                    easy[live[~free]] = False
+                    live = live[free]
+                    bits = bits[free]
+                    taken[live] |= bits
+                    dirs[rows[free]] = np.log2(
+                        bits.astype(np.float64)
                     ).astype(np.int64)
-                multi = np.flatnonzero(~singles)
-                if multi.size:
+                hard = np.flatnonzero(~easy)
+                if hard.size:
                     order_l = order.tolist()
                     gm_l = gm.tolist()
                     entry_l = entry.tolist()
-                    starts_l = starts[multi].tolist()
-                    counts_l = counts[multi].tolist()
-                    nodes_l = spos[starts[multi]].tolist()
+                    starts_l = starts[hard].tolist()
+                    counts_l = counts[hard].tolist()
+                    nodes_l = spos[starts[hard]].tolist()
                     assigned_rows: List[int] = []
                     assigned_dirs: List[int] = []
                     for seg_start, seg_count, node_idx in zip(
@@ -800,10 +823,11 @@ class SoaKernel:
                     rank_col = rank_col[keep]
             t5 = clock() if clock is not None else 0
             if profiler is not None:
-                # rank (sort + stats) and arc_assign (direction
-                # resolution) are fused in the array step; attribute
-                # the fused span to rank and the move/flag updates to
-                # move, so phase totals still sum to the step time.
+                # The array step fuses the good-mask gathers, the sort
+                # and load stats, the direction assignment and the
+                # move/flag updates into one span; all of it is
+                # attributed to rank, with arc_assign and move given
+                # 0, so phase totals still sum to the step time.
                 profiler.record_step(t1 - t0, t4 - t1, 0, 0, t5 - t4)
 
             self._note_step(

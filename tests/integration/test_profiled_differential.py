@@ -5,18 +5,24 @@ timestamps around each phase, so it must be *observably identical* to
 :meth:`run_lean`: same :class:`RunResult` (telemetry included), same
 RNG consumption, same delivery order.  These tests pin that contract
 for all four engines, and check that the profiler actually measured
-something while telemetry stayed bit-identical.
+something while telemetry stayed bit-identical.  The soa backend's two
+loops take the same ``profiler`` sink and are held to the same
+contract.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
     DimensionOrderPolicy,
+    MaximalGreedyPolicy,
     PlainGreedyPolicy,
     RandomizedGreedyPolicy,
     RestrictedPriorityPolicy,
 )
+from repro.algorithms.random_rank import RandomRankPolicy
+from repro.core import soa
 from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
 from repro.core.validation import validators_for
@@ -94,6 +100,74 @@ class TestHotPotatoProfiled:
         profiled_result = engine(profiler).run()
         assert profiled_result == lean_result
         assert profiler.steps == profiled_result.total_steps
+
+
+#: RNG-free policies: the soa backend runs them on its numpy loop.
+VECTORIZED_POLICIES = (
+    RestrictedPriorityPolicy,
+    PlainGreedyPolicy,
+    MaximalGreedyPolicy,
+    RandomRankPolicy,
+)
+
+
+class _ColumnarSoaKernel(soa.SoaKernel):
+    """The soa kernel pinned to its pure-Python columnar loop."""
+
+    def __init__(self, kernel, adapter):
+        super().__init__(kernel, adapter, force_python=True)
+
+
+def _check_soa_profiled(problem, seed, policy_cls):
+    def engine(backend, profiler=None):
+        policy = policy_cls()
+        return HotPotatoEngine(
+            problem,
+            policy,
+            seed=seed,
+            validators=validators_for(policy, strict=False),
+            backend=backend,
+            profiler=profiler,
+        )
+
+    object_result = engine("object").run()
+    plain = engine("soa")
+    plain_result = plain.run()
+    profiler = PhaseProfiler()
+    profiled = engine("soa", profiler)
+    assert profiled.run() == plain_result == object_result
+    assert profiled.telemetry == plain.telemetry
+    assert profiler.steps == profiled.telemetry.steps
+
+
+class TestSoaProfiled:
+    @pytest.mark.skipif(
+        not soa.numpy_available(), reason="the vectorized loop needs numpy"
+    )
+    @_SETTINGS
+    @given(
+        instance=_batch_problems(),
+        policy_cls=st.sampled_from(VECTORIZED_POLICIES),
+    )
+    def test_vectorized_profiled_equals_unprofiled(
+        self, instance, policy_cls
+    ):
+        problem, seed = instance
+        _check_soa_profiled(problem, seed, policy_cls)
+
+    @_SETTINGS
+    @given(
+        instance=_batch_problems(),
+        policy_cls=st.sampled_from(
+            VECTORIZED_POLICIES + (RandomizedGreedyPolicy,)
+        ),
+    )
+    def test_columnar_profiled_equals_unprofiled(self, instance, policy_cls):
+        problem, seed = instance
+        with pytest.MonkeyPatch.context() as patch:
+            # The engines import SoaKernel from the package per run.
+            patch.setattr(soa, "SoaKernel", _ColumnarSoaKernel)
+            _check_soa_profiled(problem, seed, policy_cls)
 
 
 class TestBufferedProfiled:

@@ -14,6 +14,7 @@ These hypothesis suites are the proof harness; the golden fixtures
 against the pre-kernel legacy captures.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,10 +28,15 @@ from repro.algorithms import (
 from repro.algorithms.random_rank import RandomRankPolicy
 from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
+from repro.core.problem import RoutingProblem
 from repro.core.soa import _compat
 from repro.core.validation import validators_for
 from repro.dynamic import BufferedDynamicEngine, DynamicEngine
 from repro.faults import FaultSchedule
+from repro.mesh.hypercube import Hypercube
+from repro.mesh.topology import Mesh
+from repro.mesh.torus import Torus
+from repro.workloads import random_many_to_many
 
 from .test_engine_differential import (
     _SETTINGS,
@@ -154,6 +160,66 @@ class TestHotPotatoSoaDifferential:
         finally:
             _compat.np = saved
         assert obj.telemetry == soa.telemetry
+
+
+#: Every RNG-free hot-potato adapter configuration: the policies the
+#: vectorized path runs (its rank rounds plus the scalar fallback for
+#: hard nodes).
+RNG_FREE_POLICIES = (
+    lambda: RestrictedPriorityPolicy(),
+    lambda: RestrictedPriorityPolicy(prefer_type_a=False),
+    lambda: RestrictedPriorityPolicy(deflection="reverse"),
+    lambda: PlainGreedyPolicy(),
+    lambda: MaximalGreedyPolicy(),
+    lambda: RandomRankPolicy(),
+    lambda: RandomRankPolicy(deflection="reverse"),
+)
+
+
+class TestHeavyContentionSoaDifferential:
+    """soa == object where many nodes are hard.
+
+    ``_batch_problems`` draws small 2-D meshes with ``k <= N``, where a
+    node whose rows clash on a lowest good direction is rare.  These
+    fixed instances load meshes, a torus, a 3-D mesh and a hypercube
+    to ``k = N`` and ``k = 2N``, so the vectorized path's scalar
+    fallback runs at tens to thousands of nodes per case.
+    """
+
+    @pytest.mark.parametrize(
+        "policy_index", range(len(RNG_FREE_POLICIES))
+    )
+    @pytest.mark.parametrize("load", (1, 2))
+    @pytest.mark.parametrize(
+        "mesh",
+        (Mesh(2, 24), Torus(2, 13), Mesh(3, 7), Hypercube(6)),
+        ids=("mesh2x24", "torus2x13", "mesh3x7", "hypercube6"),
+    )
+    def test_soa_equals_object(self, mesh, load, policy_index):
+        make = RNG_FREE_POLICIES[policy_index]
+        problem = random_many_to_many(mesh, k=load * mesh.num_nodes, seed=7)
+        obj = _hot_potato(problem, make(), 7, "object")
+        soa = _hot_potato(problem, make(), 7, "soa")
+        assert obj.run() == soa.run()
+        assert obj.telemetry == soa.telemetry
+
+    def test_kuhn_moves_the_holder_of_a_direction(self):
+        # Plain greedy matches in id order.  Packet 0 (good: +x, +y)
+        # takes +x first; packet 1 (good: +x only) must then move it
+        # onto +y.  Giving packet 1 its lowest *free* good direction
+        # instead finds none and deflects it.
+        problem = RoutingProblem.from_pairs(
+            Mesh(2, 6), [((2, 2), (4, 4)), ((2, 2), (5, 2))]
+        )
+        runs = [
+            _hot_potato(problem, PlainGreedyPolicy(), 0, backend, max_steps=1)
+            for backend in ("object", "soa")
+        ]
+        results = [engine.run() for engine in runs]
+        assert results[0] == results[1]
+        for engine in runs:
+            assert [p.location for p in engine.in_flight] == [(2, 3), (3, 2)]
+            assert engine.telemetry.advances == 2
 
 
 class TestBufferedSoaDifferential:
