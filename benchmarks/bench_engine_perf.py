@@ -27,6 +27,7 @@ def _simulate(strict, fast_path=None):
         seed=77,
         validators=validators_for(policy, strict=strict),
         fast_path=fast_path,
+        backend="object",
     )
     result = engine.run()
     assert result.completed

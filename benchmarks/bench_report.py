@@ -140,7 +140,9 @@ def _run_buffered_once() -> tuple:
     """One store-and-forward batch run (lean kernel loop)."""
     mesh = Mesh(2, SIDE)
     problem = random_many_to_many(mesh, k=K, seed=SEED)
-    engine = BufferedEngine(problem, DimensionOrderPolicy(), seed=SEED)
+    engine = BufferedEngine(
+        problem, DimensionOrderPolicy(), seed=SEED, backend="object"
+    )
     start = time.perf_counter()
     result = engine.run()
     elapsed = time.perf_counter() - start
@@ -164,6 +166,7 @@ def _run_dynamic_once(buffered: bool) -> tuple:
             BernoulliTraffic(DYNAMIC_RATE),
             seed=SEED,
             warmup=DYNAMIC_WARMUP,
+            backend="object",
         )
     else:
         engine = DynamicEngine(
@@ -172,6 +175,7 @@ def _run_dynamic_once(buffered: bool) -> tuple:
             BernoulliTraffic(DYNAMIC_RATE),
             seed=SEED,
             warmup=DYNAMIC_WARMUP,
+            backend="object",
         )
     start = time.perf_counter()
     stats = engine.run(DYNAMIC_STEPS)
@@ -242,6 +246,7 @@ def _checkpoint_throughput(repeats: int) -> float:
             seed=SEED,
             validators=validators_for(policy, strict=False),
             fast_path=True,
+            backend="object",
             checkpoint_every=CHECKPOINT_EVERY,
             on_checkpoint=taken.append,
         )
@@ -274,6 +279,7 @@ def _lean_observability() -> tuple:
         seed=SEED,
         validators=validators_for(policy, strict=False),
         profiler=profiler,
+        backend="object",
     )
     result = engine.run()
     assert result.completed

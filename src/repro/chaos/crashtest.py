@@ -341,6 +341,9 @@ def _spawn_campaign(store: str, seeds: int, workers: int) -> Any:
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        # A session (and process group) of its own, so one killpg
+        # reaches the WorkerPool children along with the parent.
+        start_new_session=True,
     )
 
 
@@ -350,11 +353,12 @@ def crashtest_campaign(
     """SIGKILL a checkpointed campaign subprocess mid-case and resume.
 
     Polls the store until replay shows a *live* checkpoint (a case
-    that has snapshotted but not finished), SIGKILLs the whole
-    process, then resumes over the surviving log and requires every
-    point to match an uninterrupted run bit-for-bit.  The kill race is
-    the one nondeterministic ingredient, so the driver retries with a
-    fresh store until a kill genuinely lands mid-case.
+    that has snapshotted but not finished), SIGKILLs the campaign's
+    whole process group (the parent and its pool workers), then
+    resumes over the surviving log and requires every point to match
+    an uninterrupted run bit-for-bit.  The kill race is the one
+    nondeterministic ingredient, so it retries with a fresh store
+    until a kill genuinely lands mid-case.
     """
     import tempfile
 
@@ -380,7 +384,7 @@ def crashtest_campaign(
                     sleep_for(0.001)
                 if not caught:
                     continue
-                os.kill(proc.pid, signal.SIGKILL)
+                os.killpg(proc.pid, signal.SIGKILL)
             finally:
                 proc.wait()
             state = CampaignStore(store).replay()

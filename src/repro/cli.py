@@ -774,13 +774,22 @@ def _add_mesh_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
+def _add_backend_argument(
+    parser: argparse.ArgumentParser, *, auto: bool = True
+) -> None:
+    """``--backend``; ``auto=False`` keeps the object default for the
+    commands whose output depends on the kernel's identity (campaign
+    specs are keyed by it, the profile table shows the object loop's
+    phase split)."""
+    choices = ("auto", "object", "soa") if auto else ("object", "soa")
     parser.add_argument(
         "--backend",
-        choices=("object", "soa"),
-        default="object",
-        help="step-kernel implementation: per-packet objects (object) "
-        "or the bit-identical structure-of-arrays kernel (soa)",
+        choices=choices,
+        default=choices[0],
+        help="step-kernel implementation: per-packet objects (object), "
+        "the bit-identical structure-of-arrays kernel (soa)"
+        + (", or soa whenever the run allows it (auto)" if auto else "")
+        + f"; default {choices[0]}",
     )
 
 
@@ -919,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the kernel pipeline phases for one scenario",
     )
     _add_mesh_arguments(profile)
-    _add_backend_argument(profile)
+    _add_backend_argument(profile, auto=False)
     profile.add_argument("--workload", choices=WORKLOADS, default="random")
     profile.add_argument("--k", type=int, default=None, help="batch size")
     profile.add_argument(
@@ -965,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="queue and execute a seed-replicated campaign"
     )
     _add_mesh_arguments(campaign_run)
-    _add_backend_argument(campaign_run)
+    _add_backend_argument(campaign_run, auto=False)
     campaign_run.add_argument(
         "--workload", choices=WORKLOADS, default="random"
     )

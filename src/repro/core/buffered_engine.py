@@ -82,34 +82,33 @@ class BufferedEngine:
         profiler: Optional[PhaseSink] = None,
         faults: Optional[FaultSchedule] = None,
         watchdog: Optional[RunWatchdog] = None,
-        backend: str = "object",
+        backend: str = "auto",
         checkpoint_every: Optional[int] = None,
         on_checkpoint: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
-        if backend not in ("object", "soa"):
+        if backend not in ("auto", "object", "soa"):
             raise ValueError(
-                f"backend must be 'object' or 'soa', got {backend!r}"
+                "backend must be 'auto', 'object' or 'soa', "
+                f"got {backend!r}"
             )
         self.backend = backend
+        #: See HotPotatoEngine: the array kernel's adapter (or None)
+        #: and the kernel the last run() used.
         self._soa_adapter: Optional["PolicyAdapter"] = None
+        self.backend_used: Optional[str] = None
         if backend == "soa":
-            from repro.core.soa import adapter_for
+            from repro.core.soa import select_adapter
 
-            if watchdog is not None:
-                raise ValueError(
-                    "backend='soa' does not support watchdogs"
-                )
-            if faults is not None:
-                if not faults.is_empty:
-                    raise ValueError(
-                        "backend='soa' does not support fault "
-                        "schedules; an empty FaultSchedule is "
-                        "accepted and ignored"
-                    )
-                faults = None
-            self._soa_adapter = adapter_for(
-                policy, buffered=True, has_injection=False
+            self._soa_adapter = select_adapter(
+                backend,
+                policy,
+                buffered=True,
+                has_injection=False,
+                record_paths=False,
+                watchdog=watchdog,
+                faults=faults,
             )
+            faults = None  # empty, so bit-identical to no faults
         self.problem = problem
         self.mesh = problem.mesh
         self.policy = policy
@@ -190,7 +189,29 @@ class BufferedEngine:
             # HotPotatoEngine.run).
             watchdog.reset(self._kernel)
         every = self.checkpoint_every
-        if lean_equivalent(self.validators, self.observers, False):
+        lean = lean_equivalent(self.validators, self.observers, False)
+        if not lean and self.backend == "soa":
+            raise ValueError(
+                "backend='soa' runs the lean loop only; detach "
+                "step-consuming observers and validators first"
+            )
+        if self.backend == "auto":
+            # Decided per run (see HotPotatoEngine.run).
+            self._soa_adapter = None
+            if lean:
+                from repro.core.soa import select_adapter
+
+                self._soa_adapter = select_adapter(
+                    "auto",
+                    self.policy,
+                    buffered=True,
+                    has_injection=False,
+                    record_paths=False,
+                    watchdog=watchdog,
+                    faults=self.faults,
+                )
+        self.backend_used = "object" if self._soa_adapter is None else "soa"
+        if lean:
             if every is None:
                 self._run_fast(self.max_steps)
             else:
@@ -203,11 +224,6 @@ class BufferedEngine:
                     self._run_fast(min(self.max_steps, boundary))
                     self._maybe_checkpoint()
         else:
-            if self.backend == "soa":
-                raise ValueError(
-                    "backend='soa' runs the lean loop only; detach "
-                    "step-consuming observers and validators first"
-                )
             if self.profiler is not None:
                 raise ValueError(
                     "profiling times the lean kernel loop; detach "
@@ -277,11 +293,10 @@ class BufferedEngine:
 
     def _run_fast(self, until: int) -> None:
         """One lean-loop segment up to absolute step ``until``."""
-        if self.backend == "soa":
+        adapter = self._soa_adapter
+        if adapter is not None:
             from repro.core.soa import SoaKernel
 
-            adapter = self._soa_adapter
-            assert adapter is not None
             SoaKernel(self._kernel, adapter).run(
                 until, profiler=self.profiler
             )

@@ -117,14 +117,22 @@ class HotPotatoEngine:
             :class:`~repro.faults.RunAborted` on the result.  A
             default watchdog is installed automatically whenever
             ``faults`` is given.
-        backend: ``"object"`` (default) routes with the object kernel;
-            ``"soa"`` with the structure-of-arrays kernel
-            (:mod:`repro.core.soa`) — bit-identical results, flat
-            columns instead of per-packet objects on the hot path.
-            Requires a fast-path-eligible run and a policy the array
-            kernel has an adapter for; incompatible with
-            ``record_paths``, watchdogs and non-empty fault schedules
-            (an empty :class:`FaultSchedule` is accepted and ignored).
+        backend: ``"auto"`` (default) decides when :meth:`run`
+            starts: the structure-of-arrays kernel
+            (:mod:`repro.core.soa`) when the run takes the lean loop,
+            the policy has an adapter, and there are no faults (not
+            even an empty schedule), no watchdog and no
+            ``record_paths``; the object kernel otherwise (see
+            :func:`repro.core.soa.select_adapter`).  ``"object"``
+            always routes with the object kernel.  ``"soa"`` always
+            uses the array kernel — bit-identical results, flat
+            columns instead of per-packet objects on the hot path —
+            and raises where ``"auto"`` would fall back: it requires
+            a fast-path-eligible run and a policy with an adapter, and
+            rejects ``record_paths``, watchdogs and non-empty fault
+            schedules (an empty :class:`FaultSchedule` is accepted
+            and ignored).  :attr:`backend_used` names the kernel the
+            last run took.
         checkpoint_every: periodic checkpoint interval in steps.  When
             set, :meth:`run` pauses at every multiple of this step
             count and hands a snapshot (see :mod:`repro.snapshot`) to
@@ -160,42 +168,38 @@ class HotPotatoEngine:
         profiler: Optional[PhaseSink] = None,
         faults: Optional[FaultSchedule] = None,
         watchdog: Optional[RunWatchdog] = None,
-        backend: str = "object",
+        backend: str = "auto",
         checkpoint_every: Optional[int] = None,
         on_checkpoint: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
-        if backend not in ("object", "soa"):
+        if backend not in ("auto", "object", "soa"):
             raise ValueError(
-                f"backend must be 'object' or 'soa', got {backend!r}"
+                "backend must be 'auto', 'object' or 'soa', "
+                f"got {backend!r}"
             )
         self.backend = backend
+        #: The array kernel's adapter, or None for the object loop;
+        #: fixed here for "soa", chosen by each run() under "auto".
         self._soa_adapter: Optional["PolicyAdapter"] = None
+        #: Kernel the last run() used: "object" or "soa".
+        self.backend_used: Optional[str] = None
         if backend == "soa":
-            from repro.core.soa import adapter_for
+            from repro.core.soa import select_adapter
 
-            if record_paths:
-                raise ValueError(
-                    "backend='soa' does not support record_paths"
-                )
-            if watchdog is not None:
-                raise ValueError(
-                    "backend='soa' does not support watchdogs"
-                )
-            if faults is not None:
-                if not faults.is_empty:
-                    raise ValueError(
-                        "backend='soa' does not support fault "
-                        "schedules; an empty FaultSchedule is "
-                        "accepted and ignored"
-                    )
-                # An empty schedule is bit-identical to no faults, so
-                # drop it (and the watchdog it would auto-install) —
-                # this is the FaultSchedule.empty() equivalence the
-                # differential suite pins.
-                faults = None
-            self._soa_adapter = adapter_for(
-                policy, buffered=False, has_injection=False
+            self._soa_adapter = select_adapter(
+                backend,
+                policy,
+                buffered=False,
+                has_injection=False,
+                record_paths=record_paths,
+                watchdog=watchdog,
+                faults=faults,
             )
+            # An empty schedule is bit-identical to no faults, so drop
+            # it (and the watchdog it would auto-install) — this is the
+            # FaultSchedule.empty() equivalence the differential suite
+            # pins.
+            faults = None
         self.problem = problem
         self.mesh = problem.mesh
         self.policy = policy
@@ -310,7 +314,31 @@ class HotPotatoEngine:
             # stall, diverging from the uninterrupted run.
             watchdog.reset(self._kernel)
         every = self.checkpoint_every
-        if self._fast_path_eligible():
+        lean = self._fast_path_eligible()
+        if not lean and self.backend == "soa":
+            raise ValueError(
+                "backend='soa' runs the lean loop only; this run "
+                "records steps, has step-consuming observers, or "
+                "uses validators beyond the capacity check"
+            )
+        if self.backend == "auto":
+            # Decided here, not in __init__: observers and
+            # record_paths may change between construction and run().
+            self._soa_adapter = None
+            if lean:
+                from repro.core.soa import select_adapter
+
+                self._soa_adapter = select_adapter(
+                    "auto",
+                    self.policy,
+                    buffered=False,
+                    has_injection=False,
+                    record_paths=self.record_paths,
+                    watchdog=watchdog,
+                    faults=self.faults,
+                )
+        self.backend_used = "object" if self._soa_adapter is None else "soa"
+        if lean:
             if every is None:
                 self._run_fast(self.max_steps)
             else:
@@ -327,12 +355,6 @@ class HotPotatoEngine:
                     self._run_fast(min(self.max_steps, boundary))
                     self._maybe_checkpoint()
         else:
-            if self.backend == "soa":
-                raise ValueError(
-                    "backend='soa' runs the lean loop only; this run "
-                    "records steps, has step-consuming observers, or "
-                    "uses validators beyond the capacity check"
-                )
             if self.profiler is not None:
                 raise ValueError(
                     "profiling times the lean kernel loop, but this run "
@@ -445,11 +467,10 @@ class HotPotatoEngine:
 
     def _run_fast(self, until: int) -> None:
         """One lean-loop segment up to absolute step ``until``."""
-        if self.backend == "soa":
+        adapter = self._soa_adapter
+        if adapter is not None:
             from repro.core.soa import SoaKernel
 
-            adapter = self._soa_adapter
-            assert adapter is not None
             SoaKernel(self._kernel, adapter).run(
                 until, profiler=self.profiler
             )

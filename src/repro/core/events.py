@@ -58,7 +58,13 @@ class RunObserver:
 
         Fires on *all* kernel paths (the lean loops included) — but
         only when ``needs_summaries`` is True, so engines skip the
-        dispatch entirely for ordinary observers."""
+        dispatch entirely for ordinary observers.
+
+        Read only the summary here.  Under the array kernel (the
+        default ``backend="auto"`` picks it for most lean runs) the
+        live state sits in flat columns: ``engine.in_flight`` and the
+        packet objects are written back only when a run or a
+        checkpoint segment ends, so mid-run they are stale."""
 
     def on_run_end(self, result: Any) -> None:
         """Called once when the run returns.

@@ -8,7 +8,10 @@ bit-identical to the object kernel (same summaries, telemetry, packet
 outcomes, RNG stream) by the golden fixtures and the soa differential
 suite.
 
-Select it through the engine façades::
+The engines run it by default (``backend="auto"``) whenever a run
+takes the lean loop and :func:`select_adapter` finds an adapter for
+its policy; request it explicitly, with errors instead of a fallback,
+through the engine façades::
 
     HotPotatoEngine(problem, policy, backend="soa")
     BufferedEngine(problem, policy, backend="soa")
@@ -19,7 +22,11 @@ pure-Python fallback runs the same loop (see :mod:`._compat`).
 """
 
 from repro.core.soa._compat import numpy_available
-from repro.core.soa.adapters import PolicyAdapter, adapter_for
+from repro.core.soa.adapters import (
+    PolicyAdapter,
+    adapter_for,
+    select_adapter,
+)
 from repro.core.soa.columns import PacketColumns
 from repro.core.soa.kernel import SoaKernel
 
@@ -29,4 +36,5 @@ __all__ = [
     "SoaKernel",
     "adapter_for",
     "numpy_available",
+    "select_adapter",
 ]

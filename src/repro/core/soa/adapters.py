@@ -8,8 +8,10 @@ declarative description — priority-code kind, matching pipeline,
 tie-break and deflection rules — that the array kernel replays with
 integer columns.  The mapping is by exact class (``type(policy) is``),
 never ``isinstance``: a subclass with an overridden ``priority_key``
-would silently diverge from the declarative description, so it must
-fall back to ``backend="object"``.
+would silently diverge from the declarative description, so it runs
+on the object loop (``backend="auto"`` routes it there; an explicit
+``backend="soa"`` rejects it).  :func:`select_adapter` applies the
+engines' remaining preconditions on top of :func:`adapter_for`.
 
 Adapters also decide *how* the kernel may run:
 
@@ -31,12 +33,15 @@ Adapters also decide *how* the kernel may run:
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.core.policy import BufferedPolicy, RoutingPolicy
 from repro.types import PacketId
 
-__all__ = ["PolicyAdapter", "adapter_for"]
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.faults import FaultSchedule, RunWatchdog
+
+__all__ = ["PolicyAdapter", "adapter_for", "select_adapter"]
 
 #: Priority-code kinds understood by the array kernel.
 CODE_UNIFORM = "uniform"
@@ -193,3 +198,49 @@ def adapter_for(
         f"backend='soa' does not support policy {policy.name!r}; "
         f"use backend='object'"
     )
+
+
+def select_adapter(
+    backend: str,
+    policy: Union[RoutingPolicy, BufferedPolicy],
+    *,
+    buffered: bool,
+    has_injection: bool,
+    record_paths: bool,
+    watchdog: Optional["RunWatchdog"],
+    faults: Optional["FaultSchedule"],
+) -> Optional[PolicyAdapter]:
+    """The adapter a lean run hands the array kernel, or ``None`` for
+    the object loop; ``backend`` is ``"soa"`` or ``"auto"``.
+
+    ``"soa"`` always means an adapter and raises ValueError on the
+    first precondition that fails: path recording, a watchdog, a
+    non-empty fault schedule (an empty one is accepted; the caller
+    drops it), or a policy :func:`adapter_for` rejects.  ``"auto"``
+    returns ``None`` where ``"soa"`` would raise, and also for an
+    empty fault schedule, on which the object engines install a
+    watchdog.
+    """
+    auto = backend == "auto"
+    problem: Optional[str] = None
+    if record_paths:
+        problem = "backend='soa' does not support record_paths"
+    elif watchdog is not None:
+        problem = "backend='soa' does not support watchdogs"
+    elif faults is not None and (auto or not faults.is_empty):
+        problem = (
+            "backend='soa' does not support fault schedules; an empty "
+            "FaultSchedule is accepted and ignored"
+        )
+    if problem is not None:
+        if auto:
+            return None
+        raise ValueError(problem)
+    try:
+        return adapter_for(
+            policy, buffered=buffered, has_injection=has_injection
+        )
+    except ValueError:
+        if auto:
+            return None
+        raise

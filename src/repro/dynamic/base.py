@@ -76,34 +76,33 @@ class DynamicEngineBase:
         profiler: Optional[PhaseSink] = None,
         faults: Optional[FaultSchedule] = None,
         watchdog: Optional[RunWatchdog] = None,
-        backend: str = "object",
+        backend: str = "auto",
         checkpoint_every: Optional[int] = None,
         on_checkpoint: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
-        if backend not in ("object", "soa"):
+        if backend not in ("auto", "object", "soa"):
             raise ValueError(
-                f"backend must be 'object' or 'soa', got {backend!r}"
+                "backend must be 'auto', 'object' or 'soa', "
+                f"got {backend!r}"
             )
         self.backend = backend
+        #: See HotPotatoEngine: the array kernel's adapter (or None)
+        #: and the kernel the last run() used.
         self._soa_adapter: Optional["PolicyAdapter"] = None
+        self.backend_used: Optional[str] = None
         if backend == "soa":
-            from repro.core.soa import adapter_for
+            from repro.core.soa import select_adapter
 
-            if watchdog is not None:
-                raise ValueError(
-                    "backend='soa' does not support watchdogs"
-                )
-            if faults is not None:
-                if not faults.is_empty:
-                    raise ValueError(
-                        "backend='soa' does not support fault "
-                        "schedules; an empty FaultSchedule is "
-                        "accepted and ignored"
-                    )
-                faults = None
-            self._soa_adapter = adapter_for(
-                policy, buffered=self.buffered, has_injection=True
+            self._soa_adapter = select_adapter(
+                backend,
+                policy,
+                buffered=self.buffered,
+                has_injection=True,
+                record_paths=False,
+                watchdog=watchdog,
+                faults=faults,
             )
+            faults = None  # empty, so bit-identical to no faults
         self.mesh = mesh
         self.policy = policy
         self.traffic = traffic
@@ -216,12 +215,31 @@ class DynamicEngineBase:
             watchdog.reset(self._kernel)
         until = self.time + steps
         every = self.checkpoint_every
-        if any(getattr(o, "needs_steps", True) for o in self.observers):
-            if self.backend == "soa":
-                raise ValueError(
-                    "backend='soa' runs the lean loop only; detach "
-                    "step-consuming observers first"
+        lean = not any(
+            getattr(o, "needs_steps", True) for o in self.observers
+        )
+        if not lean and self.backend == "soa":
+            raise ValueError(
+                "backend='soa' runs the lean loop only; detach "
+                "step-consuming observers first"
+            )
+        if self.backend == "auto":
+            # Decided per run (see HotPotatoEngine.run).
+            self._soa_adapter = None
+            if lean:
+                from repro.core.soa import select_adapter
+
+                self._soa_adapter = select_adapter(
+                    "auto",
+                    self.policy,
+                    buffered=self.buffered,
+                    has_injection=True,
+                    record_paths=False,
+                    watchdog=watchdog,
+                    faults=self.faults,
                 )
+        self.backend_used = "object" if self._soa_adapter is None else "soa"
+        if not lean:
             if self.profiler is not None:
                 raise ValueError(
                     "profiling times the lean kernel loop; detach "
@@ -287,11 +305,10 @@ class DynamicEngineBase:
 
     def _run_fast(self, until: int) -> None:
         """One lean-loop segment up to absolute step ``until``."""
-        if self.backend == "soa":
+        adapter = self._soa_adapter
+        if adapter is not None:
             from repro.core.soa import SoaKernel
 
-            adapter = self._soa_adapter
-            assert adapter is not None
             SoaKernel(self._kernel, adapter).run(
                 until, profiler=self.profiler
             )

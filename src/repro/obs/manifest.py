@@ -74,9 +74,12 @@ _REQUIRED_FIELDS: Dict[str, tuple] = {
 
 #: Optional manifest keys (newer writers only) and their JSON types.
 #: ``case`` is the sweep-checkpoint identity payload (see
-#: :mod:`repro.analysis.checkpoint`); readers must tolerate its absence.
+#: :mod:`repro.analysis.checkpoint`); ``backend`` names the step loop
+#: that ran (``"object"`` or ``"soa"``), which fixes what ``phases``
+#: mean.  Readers must tolerate the absence of either.
 _OPTIONAL_FIELDS: Dict[str, tuple] = {
     "case": (dict, type(None)),
+    "backend": (str, type(None)),
 }
 
 
@@ -124,6 +127,10 @@ class RunManifest:
     phases: Optional[Dict[str, int]] = None
     #: Sweep-checkpoint identity: which CaseSpec produced this run.
     case: Optional[Dict[str, Any]] = None
+    #: Step loop the run used ("object" or "soa"); the numpy array
+    #: step reports its fused sort/assign/move span as rank and gives
+    #: arc_assign and move 0.
+    backend: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
     created_at: str = field(default_factory=utc_now_iso)
     git_sha: str = field(default_factory=git_sha)
@@ -149,6 +156,8 @@ class RunManifest:
         }
         if self.case is not None:
             payload["case"] = self.case
+        if self.backend is not None:
+            payload["backend"] = self.backend
         return payload
 
     @classmethod
@@ -180,6 +189,7 @@ class RunManifest:
                 if data.get("case") is not None
                 else None
             ),
+            backend=data.get("backend"),
             schema_version=data["schema_version"],
             created_at=data["created_at"],
             git_sha=data["git_sha"],
@@ -301,8 +311,9 @@ def manifest_for_engine(
     """Build a manifest by introspecting a finished engine.
 
     Works on all four engines: they share ``mesh``/``policy`` and the
-    seeded ``_seed`` description, and carry their
-    :class:`~repro.obs.telemetry.RunTelemetry` as ``telemetry``.
+    seeded ``_seed`` description, carry their
+    :class:`~repro.obs.telemetry.RunTelemetry` as ``telemetry``, and
+    record the step loop their last run used as ``backend_used``.
     """
     telemetry = getattr(engine, "telemetry", None)
     return RunManifest(
@@ -317,6 +328,7 @@ def manifest_for_engine(
         result=_result_dict(result),
         telemetry=telemetry.to_dict() if telemetry is not None else None,
         phases=profiler.to_dict() if profiler is not None else None,
+        backend=getattr(engine, "backend_used", None),
     )
 
 

@@ -111,6 +111,7 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
         derived=(
             "backend",
             "_soa_adapter",
+            "backend_used",
             "problem",
             "mesh",
             "policy",
@@ -140,6 +141,7 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
         derived=(
             "backend",
             "_soa_adapter",
+            "backend_used",
             "problem",
             "mesh",
             "policy",
@@ -167,6 +169,7 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
             "buffered",
             "backend",
             "_soa_adapter",
+            "backend_used",
             "mesh",
             "policy",
             "traffic",

@@ -11,12 +11,15 @@ disk.
 """
 
 import json
+import os
+import time
 
 import pytest
 
 from repro.campaign.orchestrator import Campaign
 from repro.campaign.spec import CaseSpec, spec_key
 from repro.campaign.store import CampaignStore
+from repro.chaos import crashtest
 from repro.chaos.crashtest import (
     crashtest_campaign,
     crashtest_engine,
@@ -25,6 +28,37 @@ from repro.chaos.crashtest import (
 )
 
 from ..snapshot.scenarios import make_engine
+
+
+def _campaign_survivors(sid, store):
+    """Pids of the live (non-zombie) processes left from a spawned
+    campaign: members of its session ``sid``, or anything whose
+    command line names its ``store`` (a pool worker that escaped the
+    session is caught this way)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(sid, 0)
+        except ProcessLookupError:
+            return []
+        return [sid]
+    survivors = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                argv = handle.read().split(b"\0")
+        except OSError:
+            continue  # exited while we looked
+        # After the parenthesised command: state, ppid, pgrp, session.
+        fields = stat.rsplit(")", 1)[1].split()
+        if fields[0] == "Z":
+            continue
+        if int(fields[3]) == sid or store.encode() in argv:
+            survivors.append(int(entry))
+    return survivors
 
 
 def _campaign_specs(checkpoint_every=4, seeds=3):
@@ -148,7 +182,31 @@ class TestFullDrivers:
         # Three injector plans plus three byte-level tears.
         assert report.boundaries == 6
 
-    def test_campaign_sigkill(self):
+    def test_campaign_sigkill(self, monkeypatch):
+        spawned = []
+        spawn = crashtest._spawn_campaign
+
+        def recording_spawn(store, *args):
+            proc = spawn(store, *args)
+            spawned.append((proc.pid, store))
+            return proc
+
+        monkeypatch.setattr(crashtest, "_spawn_campaign", recording_spawn)
         report = crashtest_campaign(seeds=4, workers=2)
         assert report.boundaries == 1
         assert any("SIGKILL" in d for d in report.details)
+        # The kill takes the pool workers down with the parent: within
+        # a bounded wait, nothing in any spawned campaign's session
+        # may survive.
+        assert spawned
+        deadline = time.monotonic() + 10.0
+        while True:
+            survivors = [
+                pid
+                for sid, store in spawned
+                for pid in _campaign_survivors(sid, store)
+            ]
+            if not survivors or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert survivors == []

@@ -5,6 +5,8 @@ optimization: for any problem, policy and seed, a run with the fast
 path on yields a :class:`RunResult` bit-identical to the instrumented
 loop — same delivered times, hops, deflections, step metrics, and the
 same policy RNG stream (the two loops visit nodes in the same order).
+Every run here pins ``backend="object"``: the subject is the object
+kernel's lean loop, which ``"auto"`` would swap for the array kernel.
 """
 
 import random
@@ -46,6 +48,7 @@ def _run(problem, policy_name, seed, fast_path, **kwargs):
         seed=seed,
         validators=validators_for(policy, strict=False),
         fast_path=fast_path,
+        backend="object",
         **kwargs,
     )
     return engine.run()
@@ -133,6 +136,7 @@ class TestFastPathEquivalence:
             policy,
             seed=11,
             validators=validators_for(policy, strict=True),
+            backend="object",
         ).run()
         fast = _run(problem, "restricted-priority", 11, True)
         assert fast == strict
@@ -148,6 +152,7 @@ class TestFastPathEquivalence:
             seed=13,
             validators=validators_for(policy, strict=False),
             record_steps=True,
+            backend="object",
         ).run()
         fast = _run(problem, "restricted-priority", 13, True)
         assert recording.records  # the recording run actually recorded
@@ -165,6 +170,7 @@ class TestFastPathEquivalence:
             validators=[],
             record_paths=True,
             fast_path=True,
+            backend="object",
         )
         slow = HotPotatoEngine(
             problem,
@@ -173,6 +179,7 @@ class TestFastPathEquivalence:
             validators=[],
             record_paths=True,
             fast_path=False,
+            backend="object",
         )
         fast.run()
         slow.run()
@@ -193,6 +200,7 @@ class TestFastPathEquivalence:
             validators=[],
             max_steps=3,
             fast_path=True,
+            backend="object",
         ).run()
         slow = HotPotatoEngine(
             problem,
@@ -201,6 +209,7 @@ class TestFastPathEquivalence:
             validators=[],
             max_steps=3,
             fast_path=False,
+            backend="object",
         ).run()
         assert not fast.completed
         assert fast == slow

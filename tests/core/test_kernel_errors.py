@@ -71,7 +71,10 @@ class UnknownPacketPolicy(BufferedPolicy):
 class TestHotPotatoBadPolicies:
     def test_empty_assignment_raises_on_lean_path(self):
         engine = HotPotatoEngine(
-            one_packet_problem(), EmptyAssignmentPolicy(), seed=0
+            one_packet_problem(),
+            EmptyAssignmentPolicy(),
+            seed=0,
+            backend="object",
         )
         with pytest.raises(ArcAssignmentError):
             engine.run()
@@ -121,7 +124,10 @@ class TestBufferedBadPolicies:
 
     def test_duplicate_direction_raises_on_lean_path(self):
         engine = BufferedEngine(
-            self.collision_problem(), HoldThenCollidePolicy(), seed=0
+            self.collision_problem(),
+            HoldThenCollidePolicy(),
+            seed=0,
+            backend="object",
         )
         with pytest.raises(ArcAssignmentError):
             engine.run()

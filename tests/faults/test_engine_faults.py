@@ -33,7 +33,9 @@ class TestEmptyScheduleEquivalence:
 
     def test_hot_potato(self):
         problem = random_permutation(Mesh(2, 4), seed=3)
-        plain = HotPotatoEngine(problem, RandomRankPolicy(), seed=7).run()
+        plain = HotPotatoEngine(
+            problem, RandomRankPolicy(), seed=7, backend="object"
+        ).run()
         empty = HotPotatoEngine(
             problem,
             RandomRankPolicy(),
@@ -45,7 +47,7 @@ class TestEmptyScheduleEquivalence:
     def test_buffered(self):
         problem = random_permutation(Mesh(2, 4), seed=3)
         plain = BufferedEngine(
-            problem, DimensionOrderPolicy(), seed=7
+            problem, DimensionOrderPolicy(), seed=7, backend="object"
         ).run()
         empty = BufferedEngine(
             problem,
@@ -74,12 +76,14 @@ class TestLeanInstrumentedParity:
             RandomRankPolicy(),
             seed=11,
             faults=self.faulted_schedule(),
+            backend="object",
         ).run()
         instrumented = HotPotatoEngine(
             problem,
             RandomRankPolicy(),
             seed=11,
             faults=self.faulted_schedule(),
+            backend="object",
             observers=[RunObserver()],
         ).run()
         assert lean == instrumented
@@ -91,12 +95,14 @@ class TestLeanInstrumentedParity:
             DimensionOrderPolicy(),
             seed=11,
             faults=self.faulted_schedule(),
+            backend="object",
         ).run()
         instrumented = BufferedEngine(
             problem,
             DimensionOrderPolicy(),
             seed=11,
             faults=self.faulted_schedule(),
+            backend="object",
             observers=[RunObserver()],
         ).run()
         assert lean == instrumented

@@ -61,6 +61,7 @@ class TestHotPotatoChaos:
             RandomRankPolicy(),
             seed=seed,
             faults=schedule,
+            backend="object",
             max_steps=600,
         ).run()
         instrumented = HotPotatoEngine(
@@ -68,6 +69,7 @@ class TestHotPotatoChaos:
             RandomRankPolicy(),
             seed=seed,
             faults=schedule,
+            backend="object",
             max_steps=600,
             observers=[RunObserver()],
         ).run()
@@ -82,6 +84,7 @@ class TestHotPotatoChaos:
             RandomRankPolicy(),
             seed=seed,
             faults=schedule,
+            backend="object",
             max_steps=600,
         ).run()
         second = HotPotatoEngine(
@@ -89,6 +92,7 @@ class TestHotPotatoChaos:
             RandomRankPolicy(),
             seed=seed,
             faults=schedule,
+            backend="object",
             max_steps=600,
         ).run()
         assert first == second
@@ -98,7 +102,7 @@ class TestHotPotatoChaos:
     def test_empty_schedule_is_bit_identical_to_no_faults(self, instance):
         problem, _, seed = instance
         plain = HotPotatoEngine(
-            problem, RandomRankPolicy(), seed=seed
+            problem, RandomRankPolicy(), seed=seed, backend="object"
         ).run()
         empty = HotPotatoEngine(
             problem,
@@ -119,6 +123,7 @@ class TestBufferedChaos:
             DimensionOrderPolicy(),
             seed=seed,
             faults=schedule,
+            backend="object",
             max_steps=600,
         ).run()
         instrumented = BufferedEngine(
@@ -126,6 +131,7 @@ class TestBufferedChaos:
             DimensionOrderPolicy(),
             seed=seed,
             faults=schedule,
+            backend="object",
             max_steps=600,
             observers=[RunObserver()],
         ).run()
@@ -136,7 +142,7 @@ class TestBufferedChaos:
     def test_empty_schedule_is_bit_identical_to_no_faults(self, instance):
         problem, _, seed = instance
         plain = BufferedEngine(
-            problem, DimensionOrderPolicy(), seed=seed
+            problem, DimensionOrderPolicy(), seed=seed, backend="object"
         ).run()
         empty = BufferedEngine(
             problem,

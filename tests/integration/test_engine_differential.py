@@ -6,7 +6,9 @@ paths against each other for one configuration of the kernel.  Now that
 *every* engine is a kernel configuration, the same differential must
 hold for the others: a run with zero observers (the lean loop) must be
 observably identical to the same run driven step-by-step through the
-instrumented loop (forced here by attaching a no-op observer).
+instrumented loop (forced here by attaching a no-op observer).  Both
+sides pin ``backend="object"``: under ``"auto"`` the lean side would
+run the array kernel instead.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -101,12 +103,15 @@ class TestBufferedDifferential:
     @given(instance=_batch_problems())
     def test_lean_equals_instrumented(self, instance):
         problem, seed = instance
-        lean = BufferedEngine(problem, DimensionOrderPolicy(), seed=seed)
+        lean = BufferedEngine(
+            problem, DimensionOrderPolicy(), seed=seed, backend="object"
+        )
         instrumented = BufferedEngine(
             problem,
             DimensionOrderPolicy(),
             seed=seed,
             observers=[RunObserver()],
+            backend="object",
         )
         assert lean.run() == instrumented.run()
         assert lean.max_buffer_seen == instrumented.max_buffer_seen
@@ -115,8 +120,12 @@ class TestBufferedDifferential:
     @given(instance=_batch_problems())
     def test_runs_are_reproducible(self, instance):
         problem, seed = instance
-        first = BufferedEngine(problem, DimensionOrderPolicy(), seed=seed)
-        second = BufferedEngine(problem, DimensionOrderPolicy(), seed=seed)
+        first = BufferedEngine(
+            problem, DimensionOrderPolicy(), seed=seed, backend="object"
+        )
+        second = BufferedEngine(
+            problem, DimensionOrderPolicy(), seed=seed, backend="object"
+        )
         assert first.run() == second.run()
 
 
@@ -129,7 +138,12 @@ class TestDynamicDifferential:
     def test_lean_equals_instrumented(self, instance, policy_cls):
         mesh, traffic, seed, warmup, steps = instance
         lean = DynamicEngine(
-            mesh, policy_cls(), traffic(), seed=seed, warmup=warmup
+            mesh,
+            policy_cls(),
+            traffic(),
+            seed=seed,
+            warmup=warmup,
+            backend="object",
         )
         instrumented = DynamicEngine(
             mesh,
@@ -138,6 +152,7 @@ class TestDynamicDifferential:
             seed=seed,
             warmup=warmup,
             observers=[RunObserver()],
+            backend="object",
         )
         assert _stats_tuple(lean.run(steps)) == _stats_tuple(
             instrumented.run(steps)
@@ -155,7 +170,12 @@ class TestBufferedDynamicDifferential:
     def test_lean_equals_instrumented(self, instance):
         mesh, traffic, seed, warmup, steps = instance
         lean = BufferedDynamicEngine(
-            mesh, DimensionOrderPolicy(), traffic(), seed=seed, warmup=warmup
+            mesh,
+            DimensionOrderPolicy(),
+            traffic(),
+            seed=seed,
+            warmup=warmup,
+            backend="object",
         )
         instrumented = BufferedDynamicEngine(
             mesh,
@@ -164,6 +184,7 @@ class TestBufferedDynamicDifferential:
             seed=seed,
             warmup=warmup,
             observers=[RunObserver()],
+            backend="object",
         )
         assert _stats_tuple(lean.run(steps)) == _stats_tuple(
             instrumented.run(steps)

@@ -28,7 +28,7 @@ def test_scenario_matches_legacy_capture(name, build, fixture_data):
         "tests/integration/golden/regenerate.py (only if the behavior "
         "change is intended and documented)"
     )
-    assert build() == fixture_data[name]
+    assert build(backend="object") == fixture_data[name]
 
 
 @pytest.mark.parametrize(

@@ -89,7 +89,7 @@ class TestTracerIsInert:
     def test_traced_run_unchanged(self, instance):
         problem, seed = instance
         plain = HotPotatoEngine(
-            problem, RestrictedPriorityPolicy(), seed=seed
+            problem, RestrictedPriorityPolicy(), seed=seed, backend="object"
         ).run()
         tracer = PacketTracer()
         traced = HotPotatoEngine(
@@ -124,6 +124,7 @@ class TestDynamicObserversAreInert:
                 BernoulliTraffic(rate),
                 seed=seed,
                 observers=observers,
+                backend="object",
             )
             stats = engine.run(steps)
             return stats.samples, stats.deliveries, engine.telemetry

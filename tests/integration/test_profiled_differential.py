@@ -7,7 +7,8 @@ RNG consumption, same delivery order.  These tests pin that contract
 for all four engines, and check that the profiler actually measured
 something while telemetry stayed bit-identical.  The soa backend's two
 loops take the same ``profiler`` sink and are held to the same
-contract.
+contract.  The object-loop tests pin ``backend="object"``, which
+``"auto"`` would otherwise swap for the array kernel.
 """
 
 import pytest
@@ -93,6 +94,7 @@ class TestHotPotatoProfiled:
                 seed=seed,
                 validators=validators_for(policy, strict=False),
                 profiler=profiler,
+                backend="object",
             )
 
         profiler = PhaseProfiler()
@@ -175,10 +177,16 @@ class TestBufferedProfiled:
     @given(instance=_batch_problems())
     def test_profiled_equals_lean(self, instance):
         problem, seed = instance
-        lean = BufferedEngine(problem, DimensionOrderPolicy(), seed=seed)
+        lean = BufferedEngine(
+            problem, DimensionOrderPolicy(), seed=seed, backend="object"
+        )
         profiler = PhaseProfiler()
         profiled = BufferedEngine(
-            problem, DimensionOrderPolicy(), seed=seed, profiler=profiler
+            problem,
+            DimensionOrderPolicy(),
+            seed=seed,
+            profiler=profiler,
+            backend="object",
         )
         assert profiled.run() == lean.run()
         assert profiled.max_buffer_seen == lean.max_buffer_seen
@@ -196,7 +204,11 @@ class TestDynamicProfiled:
     def test_profiled_equals_lean(self, seed, rate, steps, policy_cls):
         mesh = Mesh(2, 4)
         lean = DynamicEngine(
-            mesh, policy_cls(), BernoulliTraffic(rate), seed=seed
+            mesh,
+            policy_cls(),
+            BernoulliTraffic(rate),
+            seed=seed,
+            backend="object",
         )
         profiler = PhaseProfiler()
         profiled = DynamicEngine(
@@ -205,6 +217,7 @@ class TestDynamicProfiled:
             BernoulliTraffic(rate),
             seed=seed,
             profiler=profiler,
+            backend="object",
         )
         assert _stats_tuple(profiled.run(steps)) == _stats_tuple(
             lean.run(steps)
@@ -223,7 +236,11 @@ class TestBufferedDynamicProfiled:
     def test_profiled_equals_lean(self, seed, rate, steps):
         mesh = Mesh(2, 4)
         lean = BufferedDynamicEngine(
-            mesh, DimensionOrderPolicy(), BernoulliTraffic(rate), seed=seed
+            mesh,
+            DimensionOrderPolicy(),
+            BernoulliTraffic(rate),
+            seed=seed,
+            backend="object",
         )
         profiler = PhaseProfiler()
         profiled = BufferedDynamicEngine(
@@ -232,6 +249,7 @@ class TestBufferedDynamicProfiled:
             BernoulliTraffic(rate),
             seed=seed,
             profiler=profiler,
+            backend="object",
         )
         assert _stats_tuple(profiled.run(steps)) == _stats_tuple(
             lean.run(steps)

@@ -227,7 +227,9 @@ class TestBufferedSoaDifferential:
     @given(instance=_batch_problems())
     def test_soa_equals_object(self, instance):
         problem, seed = instance
-        obj = BufferedEngine(problem, DimensionOrderPolicy(), seed=seed)
+        obj = BufferedEngine(
+            problem, DimensionOrderPolicy(), seed=seed, backend="object"
+        )
         soa = BufferedEngine(
             problem, DimensionOrderPolicy(), seed=seed, backend="soa"
         )
@@ -245,7 +247,12 @@ class TestDynamicSoaDifferential:
     def test_soa_equals_object(self, instance, policy_cls):
         mesh, traffic, seed, warmup, steps = instance
         obj = DynamicEngine(
-            mesh, policy_cls(), traffic(), seed=seed, warmup=warmup
+            mesh,
+            policy_cls(),
+            traffic(),
+            seed=seed,
+            warmup=warmup,
+            backend="object",
         )
         soa = DynamicEngine(
             mesh,
@@ -269,7 +276,12 @@ class TestBufferedDynamicSoaDifferential:
     def test_soa_equals_object(self, instance):
         mesh, traffic, seed, warmup, steps = instance
         obj = BufferedDynamicEngine(
-            mesh, DimensionOrderPolicy(), traffic(), seed=seed, warmup=warmup
+            mesh,
+            DimensionOrderPolicy(),
+            traffic(),
+            seed=seed,
+            warmup=warmup,
+            backend="object",
         )
         soa = BufferedDynamicEngine(
             mesh,

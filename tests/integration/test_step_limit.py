@@ -47,13 +47,17 @@ class TestHotPotatoStepLimit:
         assert "TIMEOUT" in result.summary()
 
     def test_instrumented_path_matches(self):
-        lean = self.run_limited()
-        instrumented = self.run_limited(observers=[RunObserver()])
+        lean = self.run_limited(backend="object")
+        instrumented = self.run_limited(
+            observers=[RunObserver()], backend="object"
+        )
         assert lean == instrumented
 
     def test_guarded_path_matches(self):
-        lean = self.run_limited()
-        guarded = self.run_limited(faults=FaultSchedule.empty())
+        lean = self.run_limited(backend="object")
+        guarded = self.run_limited(
+            faults=FaultSchedule.empty(), backend="object"
+        )
         assert lean == guarded
 
     def test_raise_on_timeout_still_raises(self):
@@ -81,8 +85,10 @@ class TestBufferedStepLimit:
         assert "TIMEOUT" in result.summary()
 
     def test_instrumented_path_matches(self):
-        lean = self.run_limited()
-        instrumented = self.run_limited(observers=[RunObserver()])
+        lean = self.run_limited(backend="object")
+        instrumented = self.run_limited(
+            observers=[RunObserver()], backend="object"
+        )
         assert lean == instrumented
 
     def test_raise_on_timeout_still_raises(self):

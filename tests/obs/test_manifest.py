@@ -76,6 +76,66 @@ class TestManifestForEngine:
         assert manifest.phase_profile() == profiler
 
 
+class TestManifestBackend:
+    """``backend`` names the step loop that ran, because profiled
+    ``phases`` mean different things per kernel."""
+
+    def _profiled(self, mesh, backend):
+        from repro.core.validation import validators_for
+
+        profiler = PhaseProfiler()
+        policy = RestrictedPriorityPolicy()
+        engine = HotPotatoEngine(
+            random_many_to_many(mesh, k=10, seed=21),
+            policy,
+            seed=21,
+            validators=validators_for(policy, strict=False),
+            profiler=profiler,
+            backend=backend,
+        )
+        result = engine.run()
+        return manifest_for_engine(engine, result, profiler=profiler)
+
+    @pytest.mark.parametrize(
+        "backend,expected",
+        [("object", "object"), ("soa", "soa"), ("auto", "soa")],
+    )
+    def test_records_the_loop_that_ran(self, mesh8, backend, expected):
+        manifest = self._profiled(mesh8, backend)
+        assert manifest.backend == expected
+        data = manifest.to_dict()
+        assert data["backend"] == expected
+        assert validate_manifest(data) == []
+        assert RunManifest.from_dict(data) == manifest
+
+    def test_auto_falls_back_to_object_off_the_lean_loop(self, mesh8):
+        # Default (strict) validators keep the instrumented loop.
+        engine, result = run_batch_engine(mesh8)
+        assert manifest_for_engine(engine, result).backend == "object"
+
+    def test_array_phases_report_the_fused_span_as_rank(self, mesh8):
+        from repro.core.soa import numpy_available
+
+        if not numpy_available():
+            pytest.skip("the fused span belongs to the numpy step")
+        phases = self._profiled(mesh8, "soa").phases
+        assert phases is not None
+        assert phases["arc_assign_ns"] == phases["move_ns"] == 0
+
+    def test_field_is_optional(self, mesh8):
+        _, result = run_batch_engine(mesh8)
+        data = manifest_from_run_result(result).to_dict()
+        assert "backend" not in data
+        assert validate_manifest(data) == []
+        assert RunManifest.from_dict(data).backend is None
+
+    def test_wrong_type_reported(self, mesh8):
+        engine, result = run_batch_engine(mesh8)
+        data = manifest_for_engine(engine, result).to_dict()
+        data["backend"] = 1
+        assert any("backend" in p for p in validate_manifest(data))
+
+
 class TestManifestFromRunResult:
     def test_builds_without_an_engine_in_hand(self, mesh8):
         _, result = run_batch_engine(mesh8)

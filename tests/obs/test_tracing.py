@@ -140,7 +140,7 @@ class TestTracedBatchRun:
         mesh = Mesh(2, 6)
         problem = random_many_to_many(mesh, k=30, seed=3)
         plain = HotPotatoEngine(
-            problem, RestrictedPriorityPolicy(), seed=0
+            problem, RestrictedPriorityPolicy(), seed=0, backend="object"
         ).run()
         _, traced, _ = traced_run(problem)
         assert traced.total_steps == plain.total_steps

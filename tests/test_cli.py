@@ -350,6 +350,56 @@ class TestTelemetryFlag:
         assert all(m.result["kind"] == "dynamic" for m in manifests)
 
 
+class TestBackendFlag:
+    """``route``/``dynamic`` default to ``--backend auto``; the output
+    never depends on the kernel it picks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dynamic", "--side", "5", "--rates", "0.1", "--horizon", "40"],
+            [
+                "dynamic", "--side", "5", "--rates", "0.1",
+                "--horizon", "40", "--engine", "buffered",
+            ],
+            ["route", "--side", "6", "--k", "12", "--engine", "buffered"],
+        ],
+        ids=["dynamic", "buffered-dynamic", "buffered-route"],
+    )
+    def test_default_output_equals_object(self, argv, capsys):
+        outputs = []
+        for extra in ([], ["--backend", "auto"], ["--backend", "object"]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_manifest_names_the_loop_that_ran(self, tmp_path, capsys):
+        from repro.obs.manifest import read_manifests
+
+        path = str(tmp_path / "m.jsonl")
+        argv = ["dynamic", "--side", "5", "--rates", "0.1",
+                "--horizon", "30", "--telemetry", path]
+        assert main(argv) == 0
+        assert main(argv + ["--backend", "object"]) == 0
+        assert main(["profile", "--side", "6", "--k", "8",
+                     "--telemetry", path]) == 0
+        assert [m.backend for m in read_manifests(path)] == [
+            "soa", "object", "object",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--side", "6", "--k", "8"],
+            ["campaign", "run", "--side", "6", "--k", "8", "--seeds", "1"],
+        ],
+        ids=["profile", "campaign-run"],
+    )
+    def test_object_default_commands_reject_auto(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv + ["--backend", "auto"])
+
+
 class TestLivelock:
     def test_demo(self, capsys):
         code = main(["livelock", "--steps", "50"])
