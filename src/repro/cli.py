@@ -537,7 +537,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             )
         else:
             # Capacity-only validators keep the run fast-path eligible —
-            # the profiled loop times the lean pipeline.
+            # the profiler times the lean pipeline.
             engine = HotPotatoEngine(
                 problem,
                 policy,

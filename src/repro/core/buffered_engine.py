@@ -300,10 +300,8 @@ class BufferedEngine:
             SoaKernel(self._kernel, adapter).run(
                 until, profiler=self.profiler
             )
-        elif self.profiler is not None:
-            self._kernel.run_profiled(until, self.profiler)
         else:
-            self._kernel.run_lean(until)
+            self._kernel.run_lean(until, self.profiler)
 
     def _maybe_checkpoint(self) -> None:
         if (

@@ -103,9 +103,10 @@ class HotPotatoEngine:
             (useful in tests and benchmarks).
         profiler: optional :class:`~repro.obs.profiler.PhaseProfiler`
             (any :class:`~repro.core.kernel.PhaseSink`); when set,
-            :meth:`run` uses the kernel's profiled loop and accumulates
-            per-phase wall time into it.  Profiling requires fast-path
-            eligibility — the phases being timed are the lean loop's.
+            :meth:`run` hands it to the lean loop (object or array
+            kernel), which accumulates per-phase wall time into it.
+            Profiling requires fast-path eligibility — the phases being
+            timed are the lean loop's.
         faults: optional :class:`~repro.faults.FaultSchedule` applied
             deterministically during the run (down links, failed nodes,
             packet drops); the engine routes around failures through
@@ -474,10 +475,8 @@ class HotPotatoEngine:
             SoaKernel(self._kernel, adapter).run(
                 until, profiler=self.profiler
             )
-        elif self.profiler is not None:
-            self._kernel.run_profiled(until, self.profiler)
         else:
-            self._kernel.run_lean(until)
+            self._kernel.run_lean(until, self.profiler)
 
     def _maybe_checkpoint(self) -> None:
         """Hand a snapshot to the sink, but only when the run will

@@ -17,11 +17,14 @@ The kernel has two code paths with identical observable semantics:
   ``HotPotatoEngine._run_fast``): no :class:`StepRecord`/
   :class:`PacketStepInfo` construction, packet distances tracked
   incrementally, neighbor lookups served from the mesh's precomputed
-  per-node arc tables.
+  per-node arc tables.  The same loop runs the fault phase and the
+  watchdog when they are configured, and times its phases when handed
+  a :class:`PhaseSink`.
 * :meth:`StepKernel.step_instrumented` — one step that builds the full
   :class:`StepRecord`, runs validators per node, and returns a
   :class:`StepSummary`, for anything that layers on top (trace capture,
-  potential accounting, protocol validation).
+  potential accounting, protocol validation).  It is the per-step
+  reference the differential tests compare the lean loop against.
 
 Everything that used to be a baked-in difference between engines is a
 constructor knob:
@@ -88,8 +91,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 AnyPolicy = Union[RoutingPolicy, BufferedPolicy]
 
-#: Per-packet pending move: (next node, direction, advanced, restricted).
-_PendingMove = Tuple[Node, Direction, bool, bool]
+#: Per-packet pending move: (next node, direction, advanced).
+_PendingMove = Tuple[Node, Direction, bool]
 
 
 def default_step_limit(problem: RoutingProblem) -> int:
@@ -198,8 +201,9 @@ def lean_equivalent(
 
 
 class PhaseSink(Protocol):
-    """Where :meth:`StepKernel.run_profiled` reads its clock and writes
-    per-step phase durations.
+    """Where :meth:`StepKernel.run_lean` (and the array kernel's loops)
+    read their clock and write per-step phase durations.  A loop given
+    no sink reads no clock.
 
     The kernel deliberately owns no clock: wall time in engine code is
     a determinism hazard (lint rule DET106), so the concrete sink —
@@ -220,7 +224,8 @@ class PhaseSink(Protocol):
         move: int,
         deliver: int,
     ) -> None:
-        """Accumulate one step's per-phase durations (nanoseconds)."""
+        """Accumulate one step's per-phase durations (nanoseconds).
+        A faulted run's fault phase counts as ``inject``."""
         ...
 
 
@@ -248,15 +253,14 @@ class StepKernel:
         on_deliver: called with each packet the moment it is absorbed
             (the dynamic engines record latency statistics here).
         telemetry: optional :class:`~repro.obs.telemetry.RunTelemetry`
-            whose integer counters every loop updates inline — the
-            lean loops from local variables, the instrumented step from
-            its summary — with bit-identical values on all paths.
+            that every loop feeds each step's :class:`StepSummary`
+            (:meth:`~repro.obs.telemetry.RunTelemetry.note_summary`),
+            so the counters are bit-identical on all paths.
         faults: optional :class:`~repro.faults.state.ActiveFaults`.
             When set, every step starts with the fault phase (mask
             advance + packet drops) and routing consults the masked
-            mesh view; ``run_lean`` transparently switches to its
-            guarded twin.  ``None`` leaves every loop untouched —
-            the no-fault paths stay bit-identical to before.
+            mesh view.  ``None`` skips the fault phase — the no-fault
+            runs stay bit-identical to before.
         watchdog: optional :class:`~repro.faults.watchdog.RunWatchdog`
             checked at the top of every step by the run loops; a
             verdict lands in :attr:`abort` and the loop exits.
@@ -377,7 +381,7 @@ class StepKernel:
         """The fault phase: advance the mask, remove this step's victims.
 
         Runs at the very top of a step, before injection, on both the
-        guarded lean loop and the instrumented step.  Victim selection
+        lean loop and the instrumented step.  Victim selection
         (packets at failed nodes, plus scheduled drop events, lowest
         ids first) is delegated to
         :meth:`~repro.faults.state.ActiveFaults.select_drops`; this
@@ -407,7 +411,9 @@ class StepKernel:
     # The lean loop (formerly HotPotatoEngine._run_fast)
     # ------------------------------------------------------------------
 
-    def run_lean(self, until: int) -> None:
+    def run_lean(
+        self, until: int, profiler: Optional[PhaseSink] = None
+    ) -> None:
         """Run steps until ``time == until`` with zero instrumentation.
 
         Semantically identical to repeated :meth:`step_instrumented`
@@ -426,16 +432,34 @@ class StepKernel:
         Batch kernels (no injection) stop early once ``in_flight``
         drains; injecting kernels run the full horizon.
 
-        With faults or a watchdog configured the call transparently
-        dispatches to :meth:`_run_lean_guarded`; this loop itself
-        never checks for them, so pristine runs pay nothing.
+        With faults or a watchdog configured, every step also runs the
+        guarded phases:
+
+        * a watchdog check at the top of the step (a verdict lands in
+          :attr:`abort` and the loop exits);
+        * the fault phase (:meth:`_apply_faults`) before injection;
+        * graceful degradation while something is down
+          (:meth:`_hold_excess`, :meth:`_hold_down_forwards`); a
+          pristine mask keeps the strict pigeonhole error.
+
+        Routing then consults the masked mesh view, so policies never
+        see a down arc.  With an empty schedule the masked tables *are*
+        the base tables — the chaos-differential suite pins that
+        bit-identity.
+
+        With a ``profiler`` the loop reads its clock around each
+        pipeline phase and reports the step's durations; routing is
+        unchanged (the profiled differential pins profiled == plain ==
+        instrumented).  Without any of the three, a step pays one
+        ``is not None`` test each for the watchdog and the faults, a
+        few for the clock, and two per visited node.
         """
-        if self.faults is not None or self.watchdog is not None:
-            self._run_lean_guarded(until)
-            return
+        faults = self.faults
+        watchdog = self.watchdog
         mesh = self.mesh
+        mesh_v = faults.view if faults is not None else mesh
         dimension = mesh.dimension
-        node_arcs = mesh.node_arcs
+        node_arcs = mesh_v.node_arcs
         unit_deflections = mesh.unit_deflections
         distance = mesh.distance
         decide = self._decide()
@@ -448,11 +472,21 @@ class StepKernel:
         stop_when_empty = self.injection is None
         dist = self._dist
         tel = self.telemetry
+        clock = profiler.clock if profiler is not None else None
 
         while self.time < until:
             if stop_when_empty and not self.in_flight:
                 break
+            if watchdog is not None:
+                verdict = watchdog.check(self)
+                if verdict is not None:
+                    self.abort = verdict
+                    break
+            t_start = clock() if clock is not None else 0
+            dropped_now = self._apply_faults()
+            degrade = faults is not None and faults.anything_down
             generated, injected, backlog = self._admit()
+            t_injected = clock() if clock is not None else 0
             step_index = self.time
             groups: Dict[Node, List[Packet]] = defaultdict(list)
             for packet in self.in_flight:
@@ -474,6 +508,8 @@ class StepKernel:
                 if sorted_order
                 else groups.items()
             )
+            t_grouped = clock() if clock is not None else 0
+            decide_ns = 0
             # No pre-assign capacity raise here: under hot-potato rules
             # a load above the node's degree makes a consistent
             # assignment impossible (pigeonhole), so the bad-assignment
@@ -488,12 +524,29 @@ class StepKernel:
                 if load > dimension:
                     bad_nodes += 1
                     packets_in_bad += load
-                view = NodeView(mesh, node, step_index, packets)
+                if clock is not None:
+                    t_node = clock()
+                view = NodeView(mesh_v, node, step_index, packets)
+                if degrade and not buffered and load > arcs.degree:
+                    # Waiting packets still count toward the total
+                    # distance; the assignment must cover the rest.
+                    for packet in view.packets[arcs.degree:]:
+                        total_distance += dist[packet.id]
+                    view = self._hold_excess(view, arcs.degree)
+                    load = arcs.degree
+                    if not load:
+                        continue
                 assignment = decide(view)
+                if clock is not None:
+                    decide_ns += clock() - t_node
                 by_direction = arcs.by_direction
                 good_map = view._good
                 seen = set()
                 if buffered:
+                    if degrade:
+                        assignment = self._hold_down_forwards(
+                            node, assignment
+                        )
                     for packet_id, direction in assignment.items():
                         next_node = by_direction.get(direction)
                         if (
@@ -510,12 +563,7 @@ class StepKernel:
                             )
                         seen.add(direction)
                         advanced = direction in good_map[packet_id]
-                        pending[packet_id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            False,
-                        )
+                        pending[packet_id] = (next_node, direction, advanced)
                         if advanced:
                             advancing += 1
                     for packet in view.packets:
@@ -545,66 +593,38 @@ class StepKernel:
                         seen.add(direction)
                         good = good_map[packet.id]
                         advanced = direction in good
-                        pending[packet.id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            len(good) == 1,
-                        )
+                        pending[packet.id] = (next_node, direction, advanced)
+                        # The step flags are only read by the next
+                        # step's views, so they can be set here.
+                        packet.restricted_last_step = len(good) == 1
+                        packet.advanced_last_step = advanced
                         if advanced:
                             advancing += 1
                         total_distance += dist[packet.id]
+            t_assigned = clock() if clock is not None else 0
 
             # Phase 2 — move, in in_flight order, so delivery order and
             # the next step's grouping are identical to the
-            # instrumented path.
+            # instrumented path.  Packets absent from ``pending`` wait
+            # in place.
             self.time += 1
             now = self.time
-            delivered_count = 0
             remaining: List[Packet] = []
-            if buffered:
-                pending_get = pending.get
-                for packet in self.in_flight:
-                    entry = pending_get(packet.id)
-                    if entry is not None:
-                        next_node, direction, advanced, _ = entry
-                        packet.location = next_node
-                        packet.hops += 1
-                        if advanced:
-                            # A good hop reduces the distance by exactly
-                            # one (Definition 5), on every mesh kind.
-                            packet.advances += 1
-                            dist[packet.id] -= 1
-                        else:
-                            packet.deflections += 1
-                            if unit_deflections:
-                                dist[packet.id] += 1
-                            else:
-                                dist[packet.id] = distance(
-                                    next_node, packet.destination
-                                )
-                        if record_paths:
-                            packet.path.append(next_node)
-                    if packet.location == packet.destination:
-                        packet.delivered_at = now
-                        delivered_count += 1
-                        del dist[packet.id]
-                        if on_deliver is not None:
-                            on_deliver(packet)
-                    else:
-                        remaining.append(packet)
-            else:
-                for packet in self.in_flight:
-                    next_node, direction, advanced, restricted = pending[
-                        packet.id
-                    ]
-                    packet.restricted_last_step = restricted
-                    packet.advanced_last_step = advanced
-                    packet.location = next_node
+            arrived: List[Packet] = []
+            pending_get = pending.get
+            for packet in self.in_flight:
+                entry = pending_get(packet.id)
+                if entry is None:
+                    at = packet.location
+                else:
+                    at, direction, advanced = entry
+                    packet.location = at
                     if set_entry:
                         packet.entry_direction = direction
                     packet.hops += 1
                     if advanced:
+                        # A good hop reduces the distance by exactly
+                        # one (Definition 5), on every mesh kind.
                         packet.advances += 1
                         dist[packet.id] -= 1
                     else:
@@ -616,568 +636,95 @@ class StepKernel:
                             # maximal per-axis offset leaves the wrapped
                             # distance unchanged, so recompute exactly.
                             dist[packet.id] = distance(
-                                next_node, packet.destination
+                                at, packet.destination
                             )
                     if record_paths:
-                        packet.path.append(next_node)
-                    if next_node == packet.destination:
-                        packet.delivered_at = now
-                        delivered_count += 1
-                        del dist[packet.id]
-                        if on_deliver is not None:
-                            on_deliver(packet)
-                    else:
-                        remaining.append(packet)
-            self.in_flight = remaining
-            self.delivered_total += delivered_count
-
-            if tel is not None:
-                # Inline note_summary: same arithmetic, no summary
-                # object on the hot path.
-                tel.steps += 1
-                tel.packet_steps += routed
-                tel.generated += generated
-                tel.injected += injected
-                tel.delivered += delivered_count
-                tel.advances += advancing
-                tel.deflections += len(pending) - advancing
-                if routed > tel.max_in_flight:
-                    tel.max_in_flight = routed
-                if max_load > tel.max_node_load:
-                    tel.max_node_load = max_load
-                if backlog > tel.max_backlog:
-                    tel.max_backlog = backlog
-
-            if emit is not None:
-                emit(
-                    StepSummary(
-                        step=step_index,
-                        generated=generated,
-                        injected=injected,
-                        routed=routed,
-                        moved=len(pending),
-                        advancing=advancing,
-                        delivered=delivered_count,
-                        delivered_total=self.delivered_total,
-                        total_distance=total_distance,
-                        max_node_load=max_load,
-                        bad_nodes=bad_nodes,
-                        packets_in_bad_nodes=packets_in_bad,
-                        backlog=backlog,
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    # The guarded lean loop (faults + watchdog)
-    # ------------------------------------------------------------------
-
-    def _run_lean_guarded(self, until: int) -> None:
-        """The lean loop's fault/watchdog-aware twin.
-
-        Same per-step semantics as :meth:`run_lean` — same node visit
-        order, same policy RNG stream, same summary arithmetic — plus
-        three guarded phases:
-
-        * a watchdog check at the top of every step (a verdict lands
-          in :attr:`abort` and the loop exits);
-        * the fault phase (:meth:`_apply_faults`) before injection;
-        * graceful degradation — when masking leaves a node with fewer
-          live out arcs than packets, the excess packets (highest ids)
-          wait in place for the step instead of making a consistent
-          hot-potato assignment impossible.  Waiting only ever happens
-          while something is actually down; a pristine mask keeps the
-          strict pigeonhole error of the plain loop.
-
-        Routing consults the masked mesh view, so policies never see a
-        down arc.  With an empty schedule the masked tables *are* the
-        base tables and every branch below reduces to the plain lean
-        loop — the chaos-differential suite pins that bit-identity.
-        """
-        faults = self.faults
-        watchdog = self.watchdog
-        mesh = self.mesh
-        mesh_v = faults.view if faults is not None else mesh
-        dimension = mesh.dimension
-        node_arcs = mesh_v.node_arcs
-        unit_deflections = mesh.unit_deflections
-        distance = mesh.distance
-        decide = self._decide()
-        buffered = self.buffered
-        sorted_order = self.sorted_order
-        set_entry = self.set_entry_direction
-        record_paths = self.record_paths
-        emit = self.emit
-        on_deliver = self.on_deliver
-        stop_when_empty = self.injection is None
-        dist = self._dist
-        tel = self.telemetry
-
-        while self.time < until:
-            if stop_when_empty and not self.in_flight:
-                break
-            if watchdog is not None:
-                verdict = watchdog.check(self)
-                if verdict is not None:
-                    self.abort = verdict
-                    break
-            dropped_now = self._apply_faults()
-            generated, injected, backlog = self._admit()
-            step_index = self.time
-            groups: Dict[Node, List[Packet]] = defaultdict(list)
-            for packet in self.in_flight:
-                groups[packet.location].append(packet)
-            routed = len(self.in_flight)
-
-            pending: Dict[PacketId, _PendingMove] = {}
-            advancing = 0
-            total_distance = 0
-            max_load = 0
-            bad_nodes = 0
-            packets_in_bad = 0
-            node_items: Iterable[Tuple[Node, List[Packet]]] = (
-                [(node, groups[node]) for node in sorted(groups)]
-                if sorted_order
-                else groups.items()
-            )
-            for node, packets in node_items:
-                load = len(packets)
-                arcs = node_arcs(node)
-                if load > max_load:
-                    max_load = load
-                if load > dimension:
-                    bad_nodes += 1
-                    packets_in_bad += load
-                view = NodeView(mesh_v, node, step_index, packets)
-                good_map = view._good
-                for packet in view.packets:
-                    total_distance += dist[packet.id]
-                decide_view = view
-                if (
-                    not buffered
-                    and faults is not None
-                    and faults.anything_down
-                    and load > arcs.degree
-                ):
-                    # Graceful degradation (only reachable while the
-                    # mask actually hides something): the excess
-                    # packets wait in place this step.
-                    live = arcs.degree
-                    for packet in view.packets[live:]:
-                        packet.advanced_last_step = False
-                        packet.restricted_last_step = (
-                            len(good_map[packet.id]) == 1
-                        )
-                    decide_view = NodeView(
-                        mesh_v, node, step_index, list(view.packets[:live])
-                    )
-                    if not decide_view.packets:
-                        continue
-                assignment = decide(decide_view)
-                by_direction = arcs.by_direction
-                seen = set()
-                if buffered:
-                    if faults is not None and faults.anything_down:
-                        # Store-and-forward degradation: a forward onto
-                        # an arc that exists but is currently down just
-                        # waits (the packet stays buffered), exactly as
-                        # if the policy had not forwarded it.  Arcs that
-                        # leave the mesh outright still fall through to
-                        # the strict check below.
-                        base_bd = mesh.node_arcs(node).by_direction
-                        assignment = {
-                            pid: d
-                            for pid, d in assignment.items()
-                            if by_direction.get(d) is not None
-                            or base_bd.get(d) is None
-                        }
-                    for packet_id, direction in assignment.items():
-                        next_node = by_direction.get(direction)
-                        if (
-                            packet_id not in good_map
-                            or direction in seen
-                            or next_node is None
-                        ):
-                            self.build_infos(decide_view, assignment)
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent buffered "
-                                f"assignment at {node} (kernel check)"
-                            )
-                        seen.add(direction)
-                        advanced = direction in good_map[packet_id]
-                        pending[packet_id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            False,
-                        )
-                        if advanced:
-                            advancing += 1
-                else:
-                    load_movable = len(decide_view.packets)
-                    for packet in decide_view.packets:
-                        direction = assignment.get(packet.id)
-                        next_node = (
-                            by_direction.get(direction)
-                            if direction is not None
-                            else None
-                        )
-                        if (
-                            direction is None
-                            or direction in seen
-                            or next_node is None
-                            or len(assignment) != load_movable
-                        ):
-                            self.build_infos(decide_view, assignment)
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent assignment "
-                                f"at {node} (kernel fast-path check)"
-                            )
-                        seen.add(direction)
-                        good = good_map[packet.id]
-                        advanced = direction in good
-                        pending[packet.id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            len(good) == 1,
-                        )
-                        if advanced:
-                            advancing += 1
-
-            # Move phase: one interleaved pass in in_flight order, as in
-            # the lean loop, with waiting packets (absent from
-            # ``pending``) left in place.
-            self.time += 1
-            now = self.time
-            delivered_count = 0
-            remaining: List[Packet] = []
-            pending_get = pending.get
-            for packet in self.in_flight:
-                entry = pending_get(packet.id)
-                if entry is not None:
-                    next_node, direction, advanced, restricted = entry
-                    if not buffered:
-                        packet.restricted_last_step = restricted
-                        packet.advanced_last_step = advanced
-                    packet.location = next_node
-                    if set_entry:
-                        packet.entry_direction = direction
-                    packet.hops += 1
-                    if advanced:
-                        packet.advances += 1
-                        dist[packet.id] -= 1
-                    else:
-                        packet.deflections += 1
-                        if unit_deflections:
-                            dist[packet.id] += 1
-                        else:
-                            dist[packet.id] = distance(
-                                next_node, packet.destination
-                            )
-                    if record_paths:
-                        packet.path.append(next_node)
-                if packet.location == packet.destination:
-                    packet.delivered_at = now
-                    delivered_count += 1
-                    del dist[packet.id]
-                    if on_deliver is not None:
-                        on_deliver(packet)
+                        packet.path.append(at)
+                if at == packet.destination:
+                    arrived.append(packet)
                 else:
                     remaining.append(packet)
+            t_moved = clock() if clock is not None else 0
+
+            # Deliver the arrivals, still in in_flight order.
+            for packet in arrived:
+                packet.delivered_at = now
+                del dist[packet.id]
+                if on_deliver is not None:
+                    on_deliver(packet)
             self.in_flight = remaining
+            delivered_count = len(arrived)
             self.delivered_total += delivered_count
-
-            if tel is not None:
-                tel.steps += 1
-                tel.packet_steps += routed
-                tel.generated += generated
-                tel.injected += injected
-                tel.delivered += delivered_count
-                tel.dropped += dropped_now
-                tel.advances += advancing
-                tel.deflections += len(pending) - advancing
-                if routed > tel.max_in_flight:
-                    tel.max_in_flight = routed
-                if max_load > tel.max_node_load:
-                    tel.max_node_load = max_load
-                if backlog > tel.max_backlog:
-                    tel.max_backlog = backlog
-
-            if emit is not None:
-                emit(
-                    StepSummary(
-                        step=step_index,
-                        generated=generated,
-                        injected=injected,
-                        routed=routed,
-                        moved=len(pending),
-                        advancing=advancing,
-                        delivered=delivered_count,
-                        delivered_total=self.delivered_total,
-                        total_distance=total_distance,
-                        max_node_load=max_load,
-                        bad_nodes=bad_nodes,
-                        packets_in_bad_nodes=packets_in_bad,
-                        backlog=backlog,
-                        dropped=dropped_now,
-                    )
+            if profiler is not None:
+                profiler.record_step(
+                    t_injected - t_start,
+                    t_grouped - t_injected + decide_ns,
+                    t_assigned - t_grouped - decide_ns,
+                    t_moved - t_assigned,
+                    profiler.clock() - t_moved,
                 )
 
+            summary = StepSummary(
+                step=step_index,
+                generated=generated,
+                injected=injected,
+                routed=routed,
+                moved=len(pending),
+                advancing=advancing,
+                delivered=delivered_count,
+                delivered_total=self.delivered_total,
+                total_distance=total_distance,
+                max_node_load=max_load,
+                bad_nodes=bad_nodes,
+                packets_in_bad_nodes=packets_in_bad,
+                backlog=backlog,
+                dropped=dropped_now,
+            )
+            if tel is not None:
+                tel.note_summary(summary)
+            if emit is not None:
+                emit(summary)
+
     # ------------------------------------------------------------------
-    # The profiled loop (lean semantics + phase timing)
+    # Graceful degradation (faulted runs, both loops)
     # ------------------------------------------------------------------
 
-    def run_profiled(self, until: int, profiler: PhaseSink) -> None:
-        """:meth:`run_lean` with per-phase wall-clock accounting.
+    @staticmethod
+    def _hold_excess(view: NodeView, live: int) -> NodeView:
+        """Hot-potato degradation at a node with only ``live`` out arcs.
 
-        Routing semantics are byte-for-byte those of the lean loop —
-        same decisions, same RNG consumption, same emitted summaries
-        and telemetry — plus timestamp reads around each pipeline
-        phase, reported to ``profiler`` once per step.  The only
-        structural difference is that move and deliver run as two
-        passes over ``in_flight`` instead of one interleaved pass, so
-        each phase is separately timeable; per-packet move effects are
-        independent and delivery scans both ways in ``in_flight``
-        order, so the split is unobservable (the differential tests
-        pin profiled == lean == instrumented).
-
-        Kept next to :meth:`run_lean` deliberately: any change to one
-        loop must be mirrored in the other.
-
-        Profiling a faulted or watchdog-guarded run is not supported —
-        the engines route those through the guarded lean loop or the
-        instrumented step instead.
+        When masking leaves fewer live arcs than packets, a consistent
+        hot-potato assignment is impossible, so the excess packets —
+        highest ids first — wait in place this step (not advanced,
+        restricted as their good set says).  Returns the view the
+        policy decides for: the ``live`` lowest-id packets.  Only
+        called while something is down.
         """
-        if self.faults is not None or self.watchdog is not None:
-            raise ValueError(
-                "run_profiled does not support faults or watchdogs; "
-                "drop the profiler or the fault schedule"
-            )
-        mesh = self.mesh
-        dimension = mesh.dimension
-        node_arcs = mesh.node_arcs
-        unit_deflections = mesh.unit_deflections
-        distance = mesh.distance
-        decide = self._decide()
-        buffered = self.buffered
-        sorted_order = self.sorted_order
-        set_entry = self.set_entry_direction
-        record_paths = self.record_paths
-        emit = self.emit
-        on_deliver = self.on_deliver
-        stop_when_empty = self.injection is None
-        dist = self._dist
-        tel = self.telemetry
-        clock = profiler.clock
+        good = view._good
+        for packet in view.packets[live:]:
+            packet.advanced_last_step = False
+            packet.restricted_last_step = len(good[packet.id]) == 1
+        return NodeView(
+            view.mesh, view.node, view.step, list(view.packets[:live])
+        )
 
-        while self.time < until:
-            if stop_when_empty and not self.in_flight:
-                break
-            t_start = clock()
-            generated, injected, backlog = self._admit()
-            t_injected = clock()
-
-            step_index = self.time
-            groups: Dict[Node, List[Packet]] = defaultdict(list)
-            for packet in self.in_flight:
-                groups[packet.location].append(packet)
-            routed = len(self.in_flight)
-            pending: Dict[PacketId, _PendingMove] = {}
-            advancing = 0
-            total_distance = 0
-            max_load = 0
-            bad_nodes = 0
-            packets_in_bad = 0
-            node_items: Iterable[Tuple[Node, List[Packet]]] = (
-                [(node, groups[node]) for node in sorted(groups)]
-                if sorted_order
-                else groups.items()
-            )
-            rank_ns = clock() - t_injected  # grouping is decision prep
-            assign_ns = 0
-            for node, packets in node_items:
-                load = len(packets)
-                arcs = node_arcs(node)
-                if load > max_load:
-                    max_load = load
-                if load > dimension:
-                    bad_nodes += 1
-                    packets_in_bad += load
-                t_node = clock()
-                view = NodeView(mesh, node, step_index, packets)
-                assignment = decide(view)
-                t_decided = clock()
-                rank_ns += t_decided - t_node
-                by_direction = arcs.by_direction
-                good_map = view._good
-                seen = set()
-                if buffered:
-                    for packet_id, direction in assignment.items():
-                        next_node = by_direction.get(direction)
-                        if (
-                            packet_id not in good_map
-                            or direction in seen
-                            or next_node is None
-                        ):
-                            self.build_infos(view, assignment)
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent buffered "
-                                f"assignment at {node} (kernel check)"
-                            )
-                        seen.add(direction)
-                        advanced = direction in good_map[packet_id]
-                        pending[packet_id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            False,
-                        )
-                        if advanced:
-                            advancing += 1
-                    for packet in view.packets:
-                        total_distance += dist[packet.id]
-                else:
-                    for packet in view.packets:
-                        direction = assignment.get(packet.id)
-                        next_node = (
-                            by_direction.get(direction)
-                            if direction is not None
-                            else None
-                        )
-                        if (
-                            direction is None
-                            or direction in seen
-                            or next_node is None
-                            or len(assignment) != load
-                        ):
-                            self.build_infos(view, assignment)
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent assignment "
-                                f"at {node} (kernel fast-path check)"
-                            )
-                        seen.add(direction)
-                        good = good_map[packet.id]
-                        advanced = direction in good
-                        pending[packet.id] = (
-                            next_node,
-                            direction,
-                            advanced,
-                            len(good) == 1,
-                        )
-                        if advanced:
-                            advancing += 1
-                        total_distance += dist[packet.id]
-                assign_ns += clock() - t_decided
-
-            # Move pass (phase 4), then delivery pass (phase 5), both
-            # in in_flight order — together equivalent to the lean
-            # loop's single interleaved pass.
-            self.time += 1
-            now = self.time
-            t_move = clock()
-            if buffered:
-                pending_get = pending.get
-                for packet in self.in_flight:
-                    entry = pending_get(packet.id)
-                    if entry is None:
-                        continue
-                    next_node, direction, advanced, _ = entry
-                    packet.location = next_node
-                    packet.hops += 1
-                    if advanced:
-                        packet.advances += 1
-                        dist[packet.id] -= 1
-                    else:
-                        packet.deflections += 1
-                        if unit_deflections:
-                            dist[packet.id] += 1
-                        else:
-                            dist[packet.id] = distance(
-                                next_node, packet.destination
-                            )
-                    if record_paths:
-                        packet.path.append(next_node)
-            else:
-                for packet in self.in_flight:
-                    next_node, direction, advanced, restricted = pending[
-                        packet.id
-                    ]
-                    packet.restricted_last_step = restricted
-                    packet.advanced_last_step = advanced
-                    packet.location = next_node
-                    if set_entry:
-                        packet.entry_direction = direction
-                    packet.hops += 1
-                    if advanced:
-                        packet.advances += 1
-                        dist[packet.id] -= 1
-                    else:
-                        packet.deflections += 1
-                        if unit_deflections:
-                            dist[packet.id] += 1
-                        else:
-                            dist[packet.id] = distance(
-                                next_node, packet.destination
-                            )
-                    if record_paths:
-                        packet.path.append(next_node)
-            t_moved = clock()
-
-            delivered_count = 0
-            remaining: List[Packet] = []
-            for packet in self.in_flight:
-                if packet.location == packet.destination:
-                    packet.delivered_at = now
-                    delivered_count += 1
-                    del dist[packet.id]
-                    if on_deliver is not None:
-                        on_deliver(packet)
-                else:
-                    remaining.append(packet)
-            self.in_flight = remaining
-            self.delivered_total += delivered_count
-            t_delivered = clock()
-            profiler.record_step(
-                t_injected - t_start,
-                rank_ns,
-                assign_ns,
-                t_moved - t_move,
-                t_delivered - t_moved,
-            )
-
-            if tel is not None:
-                tel.steps += 1
-                tel.packet_steps += routed
-                tel.generated += generated
-                tel.injected += injected
-                tel.delivered += delivered_count
-                tel.advances += advancing
-                tel.deflections += len(pending) - advancing
-                if routed > tel.max_in_flight:
-                    tel.max_in_flight = routed
-                if max_load > tel.max_node_load:
-                    tel.max_node_load = max_load
-                if backlog > tel.max_backlog:
-                    tel.max_backlog = backlog
-
-            if emit is not None:
-                emit(
-                    StepSummary(
-                        step=step_index,
-                        generated=generated,
-                        injected=injected,
-                        routed=routed,
-                        moved=len(pending),
-                        advancing=advancing,
-                        delivered=delivered_count,
-                        delivered_total=self.delivered_total,
-                        total_distance=total_distance,
-                        max_node_load=max_load,
-                        bad_nodes=bad_nodes,
-                        packets_in_bad_nodes=packets_in_bad,
-                        backlog=backlog,
-                    )
-                )
+    def _hold_down_forwards(
+        self, node: Node, assignment: Assignment
+    ) -> Assignment:
+        """Store-and-forward degradation: a forward onto an arc that
+        exists but is currently down waits (the packet stays buffered),
+        exactly as if the policy had not forwarded it.  Arcs that leave
+        the mesh outright stay in the assignment, so the strict checks
+        still reject them.  Only called while something is down.
+        """
+        assert self.faults is not None
+        live = self.faults.view.node_arcs(node).by_direction
+        base = self.mesh.node_arcs(node).by_direction
+        return {
+            pid: d
+            for pid, d in assignment.items()
+            if live.get(d) is not None or base.get(d) is None
+        }
 
     # ------------------------------------------------------------------
     # The instrumented step (formerly _route/_apply_assignment/_move)
@@ -1190,10 +737,11 @@ class StepKernel:
         dropped_now = self._apply_faults()
         generated, injected, backlog = self._admit()
         step_index = self.time
-        mesh = self.mesh
         faults = self.faults
-        mesh_v = faults.view if faults is not None else mesh
-        dimension = mesh.dimension
+        mesh_v = faults.view if faults is not None else self.mesh
+        degrade = faults is not None and faults.anything_down
+        buffered = self.buffered
+        dimension = self.mesh.dimension
         decide = self._decide()
         dist = self._dist
 
@@ -1229,45 +777,18 @@ class StepKernel:
             view = NodeView(mesh_v, node, step_index, node_packets)
             for packet in view.packets:
                 total_distance += dist[packet.id]
-            decide_view = view
-            if (
-                not self.buffered
-                and faults is not None
-                and faults.anything_down
-                and load > mesh_v.node_arcs(node).degree
-            ):
-                # Graceful degradation, mirroring _run_lean_guarded:
-                # excess packets (highest ids) wait in place.
+            if degrade and not buffered:
                 live = mesh_v.node_arcs(node).degree
-                good_map = view._good
-                for packet in view.packets[live:]:
-                    packet.advanced_last_step = False
-                    packet.restricted_last_step = (
-                        len(good_map[packet.id]) == 1
-                    )
-                decide_view = NodeView(
-                    mesh_v, node, step_index, list(view.packets[:live])
-                )
-                if not decide_view.packets:
-                    continue
-            assignment = decide(decide_view)
-            if (
-                self.buffered
-                and faults is not None
-                and faults.anything_down
-            ):
-                # Store-and-forward degradation, mirroring the guarded
-                # lean loop: forwards onto down-but-real arcs wait.
-                live_bd = mesh_v.node_arcs(node).by_direction
-                base_bd = mesh.node_arcs(node).by_direction
-                assignment = {
-                    pid: d
-                    for pid, d in assignment.items()
-                    if live_bd.get(d) is not None or base_bd.get(d) is None
-                }
-            node_infos = self.build_infos(decide_view, assignment)
+                if load > live:
+                    view = self._hold_excess(view, live)
+                    if not view.packets:
+                        continue
+            assignment = decide(view)
+            if degrade and buffered:
+                assignment = self._hold_down_forwards(node, assignment)
+            node_infos = self.build_infos(view, assignment)
             for validator in validators:
-                validator.validate_node(decide_view, node_infos)
+                validator.validate_node(view, node_infos)
             for info in node_infos:
                 infos[info.packet_id] = info
 

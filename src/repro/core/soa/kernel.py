@@ -136,7 +136,7 @@ class SoaKernel:
     ) -> None:
         """Run steps until ``kernel.time == until`` (or drained).
 
-        Mirrors :meth:`StepKernel.run_lean` / ``run_profiled``: batch
+        Mirrors :meth:`StepKernel.run_lean`, profiler included: batch
         kernels (no injection source) stop early once ``in_flight``
         drains; injecting kernels run the full horizon.  On return the
         wrapped kernel's ``in_flight`` and distance table hold the
@@ -199,43 +199,28 @@ class SoaKernel:
         bad_nodes: int,
         packets_in_bad: int,
     ) -> None:
-        """Telemetry + summary emission, same arithmetic as run_lean."""
+        """Telemetry + summary emission, exactly as run_lean does."""
         kernel = self.kernel
         kernel.delivered_total += delivered_count
-        tel = kernel.telemetry
-        if tel is not None:
-            tel.steps += 1
-            tel.packet_steps += routed
-            tel.generated += generated
-            tel.injected += injected
-            tel.delivered += delivered_count
-            tel.advances += advancing
-            tel.deflections += moved - advancing
-            if routed > tel.max_in_flight:
-                tel.max_in_flight = routed
-            if max_load > tel.max_node_load:
-                tel.max_node_load = max_load
-            if backlog > tel.max_backlog:
-                tel.max_backlog = backlog
-        emit = kernel.emit
-        if emit is not None:
-            emit(
-                StepSummary(
-                    step=step_index,
-                    generated=generated,
-                    injected=injected,
-                    routed=routed,
-                    moved=moved,
-                    advancing=advancing,
-                    delivered=delivered_count,
-                    delivered_total=kernel.delivered_total,
-                    total_distance=total_distance,
-                    max_node_load=max_load,
-                    bad_nodes=bad_nodes,
-                    packets_in_bad_nodes=packets_in_bad,
-                    backlog=backlog,
-                )
-            )
+        summary = StepSummary(
+            step=step_index,
+            generated=generated,
+            injected=injected,
+            routed=routed,
+            moved=moved,
+            advancing=advancing,
+            delivered=delivered_count,
+            delivered_total=kernel.delivered_total,
+            total_distance=total_distance,
+            max_node_load=max_load,
+            bad_nodes=bad_nodes,
+            packets_in_bad_nodes=packets_in_bad,
+            backlog=backlog,
+        )
+        if kernel.telemetry is not None:
+            kernel.telemetry.note_summary(summary)
+        if kernel.emit is not None:
+            kernel.emit(summary)
 
     # ------------------------------------------------------------------
     # Columnar pure-Python path

@@ -312,10 +312,8 @@ class DynamicEngineBase:
             SoaKernel(self._kernel, adapter).run(
                 until, profiler=self.profiler
             )
-        elif self.profiler is not None:
-            self._kernel.run_profiled(until, self.profiler)
         else:
-            self._kernel.run_lean(until)
+            self._kernel.run_lean(until, self.profiler)
 
     def _maybe_checkpoint(self, until: int) -> None:
         """Checkpoint only when the run will continue past this

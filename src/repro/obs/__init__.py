@@ -2,10 +2,10 @@
 
 The layers, in increasing cost:
 
-* :class:`~repro.obs.telemetry.RunTelemetry` — integer counters the
-  kernel's lean loop bumps inline; always on, near-zero cost, rides on
-  :class:`~repro.core.metrics.RunResult` (and across worker processes
-  in sweeps).
+* :class:`~repro.obs.telemetry.RunTelemetry` — integer counters every
+  kernel loop feeds from its per-step summary; always on, near-zero
+  cost, rides on :class:`~repro.core.metrics.RunResult` (and across
+  worker processes in sweeps).
 * :class:`~repro.obs.metrics.MetricRegistry` — the deterministic
   metric registry (counters, high-water gauges, fixed-bucket
   histograms) with order-independent merge;
@@ -19,9 +19,10 @@ The layers, in increasing cost:
   deflection-causality tracing (inject → advance/deflect(by=q) →
   deliver); needs the instrumented loop.
 * :class:`~repro.obs.profiler.PhaseProfiler` — opt-in wall-clock
-  timing of the kernel pipeline phases via
-  :meth:`~repro.core.kernel.StepKernel.run_profiled`; identical
-  routing semantics, just timestamped.
+  timing of the kernel pipeline phases, handed to
+  :meth:`~repro.core.kernel.StepKernel.run_lean` (or the array
+  kernel) as its phase sink; identical routing semantics, just
+  timestamped.
 * :class:`~repro.obs.manifest.RunManifest` /
   :class:`~repro.obs.manifest.JsonlRunLogger` — structured JSONL
   self-descriptions of whole runs (config, seed, git sha, telemetry,

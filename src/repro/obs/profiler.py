@@ -5,19 +5,24 @@
 (:func:`repro.obs.clock.perf_ns` — the kernel itself owns no clock,
 keeping DET106 happy) and accumulates nanoseconds per pipeline phase
 (*inject → rank → arc-assign → move → deliver*) as
-:meth:`~repro.core.kernel.StepKernel.run_profiled` reports each step.
-Timing is additive bookkeeping only: the profiled loop executes the
-exact lean-loop semantics, so results stay bit-identical.
+:meth:`~repro.core.kernel.StepKernel.run_lean` (or the array kernel)
+reports each step.  Timing is additive bookkeeping only: handing the
+loop a sink changes no routing decision, so results stay
+bit-identical.
 
-Phase meanings:
+Phase meanings (object loop):
 
-* ``inject`` — injection-source admission (zero work for batch runs).
-* ``rank`` — grouping packets by node plus the per-node policy
-  decision (``assign``/``forward``), the part the paper's priority
-  schemes make interesting.
-* ``arc_assign`` — validating the policy's output and staging moves.
-* ``move`` — applying moves and distance bookkeeping.
-* ``deliver`` — the absorption scan and delivery callbacks.
+* ``inject`` — injection-source admission (zero work for batch runs),
+  after the fault phase when the kernel has one.
+* ``rank`` — grouping packets by node plus the per-node view and
+  policy decision (``assign``/``forward``), the part the paper's
+  priority schemes make interesting.
+* ``arc_assign`` — the rest of the node loop: load statistics,
+  validating the policy's output, setting the hot-potato step flags
+  and staging moves.
+* ``move`` — applying moves and distance bookkeeping, plus the
+  destination test that splits arrivals from packets still in flight.
+* ``deliver`` — stamping the arrivals and the delivery callbacks.
 """
 
 from __future__ import annotations

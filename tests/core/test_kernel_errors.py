@@ -1,6 +1,6 @@
 """ArcAssignmentError paths: malformed policy output must raise the
 same structured error on every kernel path (lean, instrumented, and
-the fault-guarded twin)."""
+the lean loop with its fault phase on)."""
 
 import pytest
 
@@ -90,7 +90,7 @@ class TestHotPotatoBadPolicies:
             engine.run()
 
     def test_empty_assignment_raises_on_guarded_path(self):
-        """The fault-guarded lean twin keeps the strict checks."""
+        """The lean loop keeps the strict checks with faults on."""
         engine = HotPotatoEngine(
             one_packet_problem(),
             EmptyAssignmentPolicy(),

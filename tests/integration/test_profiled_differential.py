@@ -1,8 +1,8 @@
 """Profiled-loop differential tests.
 
-:meth:`StepKernel.run_profiled` re-implements the lean loop with
-timestamps around each phase, so it must be *observably identical* to
-:meth:`run_lean`: same :class:`RunResult` (telemetry included), same
+:meth:`StepKernel.run_lean` handed a phase sink reads timestamps
+around each phase, so it must be *observably identical* to the same
+loop without one: same :class:`RunResult` (telemetry included), same
 RNG consumption, same delivery order.  These tests pin that contract
 for all four engines, and check that the profiler actually measured
 something while telemetry stayed bit-identical.  The soa backend's two

@@ -1,10 +1,10 @@
-"""Dirty kernel-twin module: KER301/KER302 vectors (never run).
+"""Kernel-twin module: the silent KER301 vectors (never run).
 
 This module's dotted name ends in ``core.kernel``, so the phase
 contract declared in ``repro.lint.kernelspec`` binds its ``StepKernel``
-twins exactly as it binds the real one.  Two twins breach the contract
-— one reorders rank behind arc assignment, one drops delivery — and
-two obey it (one of them only because its breach is suppressed).
+twins exactly as it binds the real one.  Both obey it: one is clean,
+the other only because its breach is suppressed.  The firing KER301
+and KER302 vectors live in ``dirtypkg.legacy.core.kernel``.
 """
 
 pending = {}
@@ -27,37 +27,17 @@ class StepKernel:
     def run_lean(self, steps, packet):
         # Clean twin: the full contract in declared order.
         for now in range(steps):
-            self._admit(now)
-            assignment = decide(now)
-            pending[now] = assignment
-            packet.hops += 1
-            packet.delivered_at = now
-        return packet
-
-    def _run_lean_guarded(self, steps, packet):
-        # KER301 fire: rank runs after arc assignment — the stored
-        # direction cannot have come from this step's decision.
-        for now in range(steps):
             self._apply_faults(now)
             self._admit(now)
-            pending[now] = packet
-            assignment = decide(now)
-            packet.hops += 1
-            packet.delivered_at = now
-        return assignment
-
-    def run_profiled(self, steps, packet):
-        # KER302 fire: no delivery bookkeeping in this twin.
-        for now in range(steps):
-            self._admit(now)
             assignment = decide(now)
             pending[now] = assignment
             packet.hops += 1
+            packet.delivered_at = now
         return packet
 
     def step_instrumented(self, now, packet):
-        # Same reordering as the guarded twin, but suppressed — the
-        # KER301 pair's silent half.
+        # Rank runs after arc assignment, but suppressed — the KER301
+        # pair's silent half.
         self._apply_faults(now)
         self._admit(now)
         pending[now] = packet

@@ -240,7 +240,8 @@ class TestSyntheticTwins:
         report = lint_paths([root], select=["KER303"])
         fired = {f.rule_id for f in report.findings}
         assert fired == {"KER303"}
-        # One finding per missing declared twin, each anchored on the
-        # owning class statement (line 1).
-        assert len(report.findings) == 4
+        # One finding per missing declared twin (run_lean and
+        # step_instrumented), each anchored on the owning class
+        # statement (line 1).
+        assert len(report.findings) == 2
         assert {f.line for f in report.findings} == {1}

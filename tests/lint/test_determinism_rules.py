@@ -12,6 +12,7 @@ from repro.lint import (
     Severity,
     all_rules,
     lint_file,
+    lint_paths,
 )
 from repro.lint.context import ModuleContext, domain_of, module_name_for
 from repro.lint.runner import lint_source
@@ -402,6 +403,13 @@ class TestRegistry:
         ):
             hit |= rules_hit(findings_for(fixture(*name)))
         assert set(DETERMINISM_RULES) <= hit
+
+    @pytest.mark.parametrize("rule_id", [rule.id for rule in all_rules()])
+    def test_every_registered_rule_fires_on_the_fixtures(self, rule_id):
+        # The fixture README's promise, checked one rule at a time so a
+        # live rule cannot hide a dead one of the same family.
+        report = lint_paths([FIXTURES], select=[rule_id])
+        assert {f.rule_id for f in report.findings} == {rule_id}
 
     @pytest.mark.parametrize("rule_id", DETERMINISM_RULES)
     def test_every_rule_has_a_working_suppression(self, rule_id):
