@@ -115,10 +115,11 @@ class CaseSpec:
     #: With "buffered" the policy factory must build a BufferedPolicy;
     #: strict_validation is ignored (buffers legitimately exceed degree).
     engine: str = "hot-potato"
-    #: Step-kernel implementation: "object" (per-packet objects) or
-    #: "soa" (structure-of-arrays).  With "soa" the hot-potato engine
-    #: needs the lean loop, so strict_validation must be False.
-    backend: str = "object"
+    #: Step-kernel implementation: "auto" (the array kernel whenever
+    #: the engine allows it), "object" (per-packet objects) or "soa"
+    #: (structure-of-arrays).  With "soa" the hot-potato engine needs
+    #: the lean loop, so strict_validation must be False.
+    backend: str = "auto"
 
 
 def _execute_spec(spec: CaseSpec) -> ExperimentPoint:
@@ -298,7 +299,7 @@ def run_case(
     max_steps: Optional[int] = None,
     workers: int = 1,
     engine: str = "hot-potato",
-    backend: str = "object",
+    backend: str = "auto",
     pool: Optional[WorkerPool] = None,
 ) -> List[ExperimentPoint]:
     """Run one case over several seeds.
@@ -308,10 +309,11 @@ def run_case(
     by its factories and seed list.  ``workers > 1`` replicates the
     seeds across processes (same results, same order).  Pass
     ``engine="buffered"`` (with a buffered-policy factory) to run the
-    store-and-forward baseline instead of hot-potato routing, and
-    ``backend="soa"`` for the structure-of-arrays kernel (hot-potato
-    requires ``strict_validation=False`` there — the array kernel runs
-    the lean loop).  A started
+    store-and-forward baseline instead of hot-potato routing.  The
+    default ``backend="auto"`` takes the structure-of-arrays kernel
+    whenever the run allows it; ``backend="soa"`` requires it
+    (hot-potato then needs ``strict_validation=False`` — the array
+    kernel runs the lean loop).  A started
     :class:`~repro.campaign.pool.WorkerPool` passed as ``pool``
     persists across calls (``workers`` is then ignored).
     """
@@ -342,7 +344,7 @@ def sweep(
     workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
     checkpoint: Optional["object"] = None,
-    backend: str = "object",
+    backend: str = "auto",
     pool: Optional[WorkerPool] = None,
 ) -> SweepResult:
     """Evaluate a parameter grid.

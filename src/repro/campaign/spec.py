@@ -77,7 +77,14 @@ class CaseSpec:
             (must be False with ``backend="soa"``).
         max_steps: step budget (None = engine default).
         engine: ``"hot-potato"`` (deflection) or ``"buffered"``.
-        backend: ``"object"`` or ``"soa"`` step kernel.
+        backend: step kernel, an execution hint rather than part of
+            the case: ``"auto"`` (default) takes the array kernel
+            whenever the engine allows it and the object loop
+            otherwise (strict hot-potato validation, fault schedules
+            and policies without an adapter keep the object loop);
+            ``"object"`` and ``"soa"`` force one kernel.  Results are
+            bit-identical on every kernel, so :func:`spec_key` hashes
+            ``"auto"`` as ``"object"``.
         faults: path to a JSON fault schedule, resolved worker-side
             (None = fault-free run).
         priority: campaign queue priority — higher runs earlier;
@@ -101,7 +108,7 @@ class CaseSpec:
     strict_validation: bool = True
     max_steps: Optional[int] = None
     engine: str = "hot-potato"
-    backend: str = "object"
+    backend: str = "auto"
     faults: Optional[str] = None
     priority: int = 0
     checkpoint_every: Optional[int] = None
@@ -122,10 +129,10 @@ class CaseSpec:
                 f"unknown engine {self.engine!r}; "
                 "expected 'hot-potato' or 'buffered'"
             )
-        if self.backend not in ("object", "soa"):
+        if self.backend not in ("auto", "object", "soa"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
-                "expected 'object' or 'soa'"
+                "expected 'auto', 'object' or 'soa'"
             )
         if (
             self.backend == "soa"
@@ -214,7 +221,7 @@ class CaseSpec:
                 else int(data["max_steps"])
             ),
             engine=str(data.get("engine", "hot-potato")),
-            backend=str(data.get("backend", "object")),
+            backend=str(data.get("backend", "auto")),
             faults=(
                 None if data.get("faults") is None else str(data["faults"])
             ),
@@ -240,10 +247,14 @@ def spec_key(spec: CaseSpec) -> str:
     must not orphan the work already finished under the old priority.
     ``checkpoint_every`` likewise — it changes *how durably* a case
     runs, never its result, so retuning the interval on resume must
-    keep matching the history.
+    keep matching the history.  ``backend="auto"`` hashes as
+    ``"object"``: keys written before ``"auto"`` became the default
+    keep matching the same cases.
     """
     payload = spec.to_dict()
     del payload["priority"]
     del payload["checkpoint_every"]
+    if payload["backend"] == "auto":
+        payload["backend"] = "object"
     material = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]

@@ -610,6 +610,8 @@ def _campaign_specs(args: argparse.Namespace) -> list:
                 seed=seed,
                 # The soa kernel runs the lean loop, which requires
                 # capacity-only validation (same rule as `repro route`).
+                # Under auto, strict hot-potato cases therefore keep
+                # the object loop; buffered cases take the array kernel.
                 strict_validation=args.backend != "soa",
                 max_steps=args.max_steps,
                 engine=args.engine,
@@ -777,10 +779,11 @@ def _add_mesh_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_backend_argument(
     parser: argparse.ArgumentParser, *, auto: bool = True
 ) -> None:
-    """``--backend``; ``auto=False`` keeps the object default for the
-    commands whose output depends on the kernel's identity (campaign
-    specs are keyed by it, the profile table shows the object loop's
-    phase split)."""
+    """``--backend``; ``auto=False`` keeps the object default for
+    ``profile``, whose phase table shows the object loop's five-phase
+    split.  ``campaign run`` takes ``auto`` like ``route``: a spec's
+    key hashes ``auto`` as ``object``, and its default strict
+    hot-potato cases keep the object loop under ``auto``."""
     choices = ("auto", "object", "soa") if auto else ("object", "soa")
     parser.add_argument(
         "--backend",
@@ -974,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="queue and execute a seed-replicated campaign"
     )
     _add_mesh_arguments(campaign_run)
-    _add_backend_argument(campaign_run, auto=False)
+    _add_backend_argument(campaign_run)
     campaign_run.add_argument(
         "--workload", choices=WORKLOADS, default="random"
     )

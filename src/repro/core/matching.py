@@ -57,22 +57,36 @@ def priority_maximum_matching(
         raise ValueError("order must list exactly the adjacency keys")
     match_of_right: Dict[Right, Left] = {}
     match_of_left: Dict[Left, Right] = {}
-
-    def try_augment(left: Left, visited: Set[Right]) -> bool:
-        for right in adjacency[left]:
-            if right in visited:
-                continue
-            visited.add(right)
-            holder = match_of_right.get(right)
-            if holder is None or try_augment(holder, visited):
-                match_of_right[right] = left
-                match_of_left[left] = right
-                return True
-        return False
-
     for left in order:
-        try_augment(left, set())
+        _augment(left, adjacency, match_of_right, match_of_left, set())
     return match_of_left
+
+
+def _augment(
+    left: Left,
+    adjacency: Mapping[Left, Sequence[Right]],
+    match_of_right: Dict[Right, Left],
+    match_of_left: Dict[Left, Right],
+    visited: Set[Right],
+) -> bool:
+    """One Kuhn augmenting-path search from ``left``, in place.
+
+    Tries ``left``'s options in adjacency order, recursing into the
+    holder of each taken one.  A module-level function with its state
+    passed in, so a search leaves no closure cycle behind.
+    """
+    for right in adjacency[left]:
+        if right in visited:
+            continue
+        visited.add(right)
+        holder = match_of_right.get(right)
+        if holder is None or _augment(
+            holder, adjacency, match_of_right, match_of_left, visited
+        ):
+            match_of_right[right] = left
+            match_of_left[left] = right
+            return True
+    return False
 
 
 def greedy_maximal_matching(

@@ -29,7 +29,7 @@ augmentation machinery entirely.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["bits_of", "kuhn_match", "first_fit_match", "resolve_node"]
 
@@ -63,27 +63,6 @@ def kuhn_match(
     match_of_dir: List[int] = [-1] * out_mask.bit_length()
     match: Dict[int, int] = {}
     taken = 0
-    visited = 0
-
-    def try_augment(row: int) -> bool:
-        nonlocal taken, visited
-        mask = good[row]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            if visited & low:
-                continue
-            visited |= low
-            direction = low.bit_length() - 1
-            holder = match_of_dir[direction]
-            if holder < 0 or try_augment(holder):
-                if holder < 0:
-                    taken |= low
-                match_of_dir[direction] = row
-                match[row] = direction
-                return True
-        return False
-
     for row in order:
         good_mask = good[row]
         low = good_mask & -good_mask
@@ -96,9 +75,47 @@ def kuhn_match(
                 match[row] = direction
                 taken |= low
             continue
-        visited = 0
-        try_augment(row)
+        taken |= _augment(row, good, match_of_dir, match, 0)[0]
     return match
+
+
+def _augment(
+    row: int,
+    good: Sequence[int],
+    match_of_dir: List[int],
+    match: Dict[int, int],
+    visited: int,
+) -> Tuple[int, int]:
+    """One Kuhn augmenting-path search from ``row``, in place.
+
+    Explores ``row``'s good directions in ascending bit order, skipping
+    the ``visited`` bitmask, and recurses into the holder of each taken
+    direction.  Returns ``(freed, visited)``: ``freed`` is the bit of
+    the previously free direction the path ends on (0 when no path
+    exists), ``visited`` the grown mask.  A module-level function with
+    its state passed in, so a search leaves no closure cycle behind.
+    """
+    mask = good[row]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        if visited & low:
+            continue
+        visited |= low
+        direction = low.bit_length() - 1
+        holder = match_of_dir[direction]
+        if holder < 0:
+            freed = low
+        else:
+            freed, visited = _augment(
+                holder, good, match_of_dir, match, visited
+            )
+            if not freed:
+                continue
+        match_of_dir[direction] = row
+        match[row] = direction
+        return freed, visited
+    return 0, visited
 
 
 def first_fit_match(

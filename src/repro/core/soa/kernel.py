@@ -32,6 +32,12 @@ Two execution paths share the loop structure:
   (insertion or sorted) and running the full decision template at
   every node so the sanctioned RNG stream advances identically.
 
+A batch run (no injection source) on the vectorized path steps with
+numpy only while at least :data:`VECTOR_MIN_ROWS` packets are in
+flight, where numpy's fixed per-step cost beats the columnar loop.
+Below that it writes back and the columnar loop packs the survivors
+and finishes the run, the same boundary a checkpoint segment crosses.
+
 Both paths are bit-identical to the object kernel: same
 :class:`StepSummary` stream, same :class:`RunTelemetry` counters, same
 packet outcomes, same ``on_deliver`` callback order (ascending packet
@@ -63,7 +69,35 @@ from repro.exceptions import ArcAssignmentError
 from repro.mesh.tables import ArcTables
 from repro.types import Node
 
-__all__ = ["SoaKernel"]
+__all__ = ["SoaKernel", "VECTOR_MIN_ROWS"]
+
+#: Live-packet count below which a batch run leaves the numpy step for
+#: the columnar loop.  The numpy step pays a fixed cost per step, tens
+#: of small array calls, and the columnar loop a cost per packet.
+#: Median time of one profiled step at ``k`` live packets in
+#: microseconds, numpy / columnar, on a 2-vCPU Xeon VM (Python 3.11.7,
+#: numpy 2.4.6), restricted-priority and dimension-order:
+#:
+#:     side    k   hot-potato     buffered
+#:        8   16    138 / 74      169 / 70
+#:        8   32    167 / 156     120 / 100
+#:        8   64    223 / 276     201 / 196
+#:       16   16    101 / 62       99 / 45
+#:       16   32     99 / 107     123 / 83
+#:       16   64    136 / 200     184 / 231
+#:       16  128    186 / 383     218 / 445
+#:       32   32    126 / 124     224 / 144
+#:       32   64    159 / 236     237 / 249
+#:       32  128    202 / 560     176 / 277
+#:
+#: The hot-potato step crosses near 32 packets on every side, the
+#: buffered step between 48 and 64.  Whole runs of the Theorem-20
+#: sweep (sides 8/12/16, k = 8..N doubling, six seeds) plus four
+#: buffered side-16 k = 128 runs, thresholds alternated in one process,
+#: time ratio and pairs won: 32 vs 64 0.92 (27/40), 32 vs 48 0.97
+#: (23/40), 24 vs 32 0.99 (31/60), 32 vs 40 1.02 (24/60).  Flat from
+#: 24 to 48, slower at 64.
+VECTOR_MIN_ROWS = 32
 
 
 def _table_views(tables: ArcTables, np: Any) -> Dict[str, Any]:
@@ -141,11 +175,21 @@ class SoaKernel:
         drains; injecting kernels run the full horizon.  On return the
         wrapped kernel's ``in_flight`` and distance table hold the
         surviving packets, bit-identical to the object loop.
+
+        A vectorized batch run takes the numpy step while at least
+        :data:`VECTOR_MIN_ROWS` packets are in flight and the columnar
+        loop for the rest; one that starts below the constant never
+        leaves the columnar loop.
         """
-        if self.vectorized:
+        kernel = self.kernel
+        if self.vectorized and (
+            kernel.injection is not None
+            or len(kernel.in_flight) >= VECTOR_MIN_ROWS
+        ):
             self._run_vectorized(until, profiler)
-        else:
-            self._run_columnar(until, profiler)
+            if kernel.time >= until or not kernel.in_flight:
+                return
+        self._run_columnar(until, profiler)
 
     # ------------------------------------------------------------------
     # Shared pieces
@@ -500,6 +544,8 @@ class SoaKernel:
 
         Only legal for RNG-free policies, where per-node decisions are
         pure functions of each node's rows (visit order immaterial).
+        A batch kernel returns, written back, once fewer than
+        :data:`VECTOR_MIN_ROWS` packets remain in flight.
         """
         np = _compat.np
         assert np is not None
@@ -521,7 +567,9 @@ class SoaKernel:
         set_entry = kernel.set_entry_direction
         on_deliver = kernel.on_deliver
         source = kernel.injection
-        stop_when_empty = source is None
+        # A batch run leaves below the constant (always at zero); an
+        # injecting run never leaves.
+        min_rows = max(VECTOR_MIN_ROWS, 1) if source is None else 0
         first_fit = adapter.first_fit
         deflection = adapter.deflection
         code_kind = adapter.code_kind
@@ -553,7 +601,7 @@ class SoaKernel:
             )
 
         while kernel.time < until:
-            if stop_when_empty and pos.shape[0] == 0:
+            if pos.shape[0] < min_rows:
                 break
             t0 = clock() if clock is not None else 0
             generated = injected = backlog = 0

@@ -53,7 +53,9 @@ class TestRoundTrip:
         spec = CaseSpec.from_dict(minimal)
         assert spec.side == 16
         assert spec.engine == "hot-potato"
-        assert spec.backend == "object"
+        # The backend is an execution hint and defaults to "auto";
+        # stored specs that name "object" keep it (see TestSpecKey).
+        assert spec.backend == "auto"
         assert spec.priority == 0
 
 
@@ -78,6 +80,19 @@ class TestSpecKey:
         for variant in variants:
             keys.add(spec_key(variant))
         assert len(keys) == len(variants) + 1
+        # "auto" is an execution hint: it keys as "object", so stores
+        # written when "object" was the default keep matching, and an
+        # explicit "soa" stays a different case.
+        assert base.backend == "auto"
+        assert spec_key(base) == spec_key(_spec(backend="object"))
+        lean = _spec(strict_validation=False)
+        assert spec_key(lean) == spec_key(
+            _spec(strict_validation=False, backend="object")
+        )
+        assert spec_key(lean) != spec_key(
+            _spec(strict_validation=False, backend="soa")
+        )
+        assert base.to_dict()["backend"] == "auto"
 
     def test_priority_does_not_change_the_key(self):
         # Re-prioritizing a queue must not orphan finished work.
@@ -117,6 +132,12 @@ class TestValidation:
                 strict_validation=False,
                 faults="schedule.json",
             )
+
+    def test_auto_accepts_strict_stacks_and_fault_schedules(self):
+        # "auto" falls back to the object loop where "soa" would raise.
+        assert _spec(backend="auto", strict_validation=True).backend == "auto"
+        spec = _spec(backend="auto", faults="schedule.json")
+        assert spec.strict_validation and spec.faults == "schedule.json"
 
     def test_vocabularies_match_the_cli(self):
         assert TOPOLOGIES == ("mesh", "torus", "hypercube")

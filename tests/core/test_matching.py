@@ -6,6 +6,7 @@ keep their assignment, and maximality is exactly the node-level greedy
 condition.
 """
 
+import gc
 import random
 
 import pytest
@@ -56,6 +57,21 @@ class TestPriorityMaximumMatching:
         adjacency = {"b": ["x", "y"], "a": ["x"]}
         matching = priority_maximum_matching(adjacency, ["b", "a"])
         assert matching == {"b": "y", "a": "x"}
+
+    def test_contended_call_leaves_no_reference_cycle(self):
+        # "b" reroutes "a" off x (a recursive augmentation).  The
+        # search must free everything by reference counting: with the
+        # collector off, a full collection afterwards finds nothing.
+        adjacency = {"a": ["x", "y"], "b": ["x"], "c": ["y", "z"]}
+        gc.collect()
+        gc.disable()
+        try:
+            matching = priority_maximum_matching(adjacency, ["a", "b", "c"])
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert matching == {"a": "y", "b": "x", "c": "z"}
+        assert unreachable == 0
 
     def test_is_maximum(self):
         adjacency = {

@@ -14,6 +14,7 @@ against the object code it mirrors, on random nodes:
 Nothing here needs numpy, so the suite also runs without it.
 """
 
+import gc
 import random
 
 from hypothesis import given, settings
@@ -133,6 +134,21 @@ class TestMatchings:
         _, _, good, _, order = node
         expected = greedy_maximal_matching(_adjacency(good), order)
         assert first_fit_match(order, good) == expected
+
+    def test_contended_call_leaves_no_reference_cycle(self):
+        # Row 1 can only take direction 0, which row 0 holds, so the
+        # augmentation recurses and moves row 0 onto direction 1.  The
+        # search must free everything by reference counting: with the
+        # collector off, a full collection afterwards finds nothing.
+        gc.collect()
+        gc.disable()
+        try:
+            match = kuhn_match([0, 1, 2], [0b0011, 0b0001, 0b0110], 0b1111)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert match == {0: 1, 1: 0, 2: 2}
+        assert unreachable == 0
 
 
 class TestResolveNode:

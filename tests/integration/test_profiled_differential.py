@@ -26,6 +26,7 @@ from repro.algorithms.random_rank import RandomRankPolicy
 from repro.core import soa
 from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
+from repro.core.soa import kernel as soa_kernel
 from repro.core.validation import validators_for
 from repro.dynamic import (
     BernoulliTraffic,
@@ -155,7 +156,13 @@ class TestSoaProfiled:
         self, instance, policy_cls
     ):
         problem, seed = instance
-        _check_soa_profiled(problem, seed, policy_cls)
+        with pytest.MonkeyPatch.context() as patch:
+            # Most of these batches (k <= 36) start below
+            # VECTOR_MIN_ROWS, which would hand them to the columnar
+            # loop from the start; a floor of one keeps every step on
+            # numpy.
+            patch.setattr(soa_kernel, "VECTOR_MIN_ROWS", 1)
+            _check_soa_profiled(problem, seed, policy_cls)
 
     @_SETTINGS
     @given(

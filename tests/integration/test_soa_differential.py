@@ -11,7 +11,10 @@ stream (pinned indirectly through RNG-consuming policies).
 
 These hypothesis suites are the proof harness; the golden fixtures
 (``tests/integration/test_golden_engines.py``) pin the same property
-against the pre-kernel legacy captures.
+against the pre-kernel legacy captures.  Most drawn batches (k <= 36)
+start below ``VECTOR_MIN_ROWS``, so a batch soa run here mostly takes
+the columnar loop; ``test_soa_handoff.py`` runs them with numpy
+throughout and covers the numpy-to-columnar handoff of larger batches.
 """
 
 import pytest

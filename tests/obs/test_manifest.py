@@ -30,6 +30,29 @@ def run_batch_engine(mesh, **kwargs):
     return engine, engine.run()
 
 
+class _TickProfiler(PhaseProfiler):
+    """A profiler on a counting clock.  Each step logs how many times
+    it read the clock, the span from its first to its last read, and
+    the phase durations it recorded."""
+
+    def __init__(self):
+        super().__init__()
+        self.ticks = 0
+        self.reads = []
+        self.log = []
+
+    def clock(self):
+        self.ticks += 1
+        self.reads.append(self.ticks)
+        return self.ticks
+
+    def record_step(self, *durations):
+        super().record_step(*durations)
+        span = self.reads[-1] - self.reads[0]
+        self.log.append((len(self.reads), span, durations))
+        self.reads = []
+
+
 class TestGitSha:
     def test_returns_short_sha_for_this_repo(self):
         sha = git_sha()
@@ -118,9 +141,56 @@ class TestManifestBackend:
 
         if not numpy_available():
             pytest.skip("the fused span belongs to the numpy step")
-        phases = self._profiled(mesh8, "soa").phases
+        # An injecting run stays on the numpy step at any live count;
+        # a batch run hands its tail to the columnar loop (see the
+        # mixed-run test below).
+        profiler = PhaseProfiler()
+        engine = DynamicEngine(
+            mesh8,
+            RestrictedPriorityPolicy(),
+            BernoulliTraffic(0.1),
+            seed=21,
+            profiler=profiler,
+            backend="soa",
+        )
+        stats = engine.run(40)
+        phases = manifest_for_engine(engine, stats, profiler=profiler).phases
         assert phases is not None
+        assert phases["steps"] == 40
+        assert phases["rank_ns"] > 0
         assert phases["arc_assign_ns"] == phases["move_ns"] == 0
+
+    def test_mixed_run_phases_sum_to_the_step_time(self, mesh8):
+        from repro.core.soa import numpy_available
+        from repro.core.soa.kernel import VECTOR_MIN_ROWS
+        from repro.core.validation import validators_for
+
+        # Starts above VECTOR_MIN_ROWS, so the numpy step runs first
+        # (four clock reads a step: the fused span) and the columnar
+        # loop finishes (six reads: five phases).
+        profiler = _TickProfiler()
+        policy = RestrictedPriorityPolicy()
+        engine = HotPotatoEngine(
+            random_many_to_many(mesh8, k=4 * VECTOR_MIN_ROWS, seed=21),
+            policy,
+            seed=21,
+            validators=validators_for(policy, strict=False),
+            profiler=profiler,
+            backend="soa",
+        )
+        result = engine.run()
+        manifest = manifest_for_engine(engine, result, profiler=profiler)
+        assert manifest.backend == "soa"
+        assert profiler.steps == engine.telemetry.steps
+        assert manifest.phases["steps"] == result.total_steps
+        reads = [count for count, _, _ in profiler.log]
+        assert set(reads) == ({4, 6} if numpy_available() else {6})
+        assert reads == sorted(reads)
+        for count, span, durations in profiler.log:
+            assert sum(durations) == span
+            if count == 4:
+                assert durations[2] == durations[3] == 0
+        assert profiler.total_ns == sum(span for _, span, _ in profiler.log)
 
     def test_field_is_optional(self, mesh8):
         _, result = run_batch_engine(mesh8)

@@ -351,8 +351,9 @@ class TestTelemetryFlag:
 
 
 class TestBackendFlag:
-    """``route``/``dynamic`` default to ``--backend auto``; the output
-    never depends on the kernel it picks."""
+    """``route``, ``dynamic`` and ``campaign run`` default to
+    ``--backend auto``; the output never depends on the kernel it
+    picks."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -363,8 +364,18 @@ class TestBackendFlag:
                 "--horizon", "40", "--engine", "buffered",
             ],
             ["route", "--side", "6", "--k", "12", "--engine", "buffered"],
+            # Buffered cases take the array kernel under auto; the
+            # default strict hot-potato cases keep the object loop.
+            [
+                "campaign", "run", "--side", "6", "--k", "40",
+                "--seeds", "2", "--engine", "buffered",
+            ],
+            ["campaign", "run", "--side", "6", "--k", "8", "--seeds", "1"],
         ],
-        ids=["dynamic", "buffered-dynamic", "buffered-route"],
+        ids=[
+            "dynamic", "buffered-dynamic", "buffered-route",
+            "buffered-campaign", "campaign",
+        ],
     )
     def test_default_output_equals_object(self, argv, capsys):
         outputs = []
@@ -389,11 +400,8 @@ class TestBackendFlag:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["profile", "--side", "6", "--k", "8"],
-            ["campaign", "run", "--side", "6", "--k", "8", "--seeds", "1"],
-        ],
-        ids=["profile", "campaign-run"],
+        [["profile", "--side", "6", "--k", "8"]],
+        ids=["profile"],
     )
     def test_object_default_commands_reject_auto(self, argv, capsys):
         with pytest.raises(SystemExit):
