@@ -7,48 +7,47 @@ and typical-load behavior (measured times scale roughly like the
 trivial distance term, far below the bound's k-dependence).
 """
 
-from functools import partial
+from bench_util import campaign_points, emit_table, once
 
-from bench_util import bench_workers, emit_table, once
-
-from repro.algorithms import RestrictedPriorityPolicy
 from repro.analysis.regression import fit_power_law, fit_two_factor
-from repro.analysis.runner import run_case
 from repro.analysis.stats import summarize
-from repro.mesh.topology import Mesh
-from repro.workloads import random_many_to_many
+from repro.campaign import CaseSpec
 
 SIDES = (8, 12, 16, 24)
 LOADS = (0.25, 0.5, 1.0, 2.0)
 SEEDS = (0, 1)
 
 
-def _problem(mesh, k, seed):
-    return random_many_to_many(mesh, k=k, seed=seed)
-
-
 def _run():
+    grid = [
+        (side, max(1, int(load * side * side)))
+        for side in SIDES
+        for load in LOADS
+    ]
+    specs = [
+        CaseSpec(
+            topology="mesh",
+            workload="random",
+            policy="restricted-priority",
+            seed=seed,
+            side=side,
+            workload_params=(("k", k),),
+        )
+        for side, k in grid
+        for seed in SEEDS
+    ]
     rows = []
     ns, ks, ts = [], [], []
-    for side in SIDES:
-        mesh = Mesh(2, side)
-        for load in LOADS:
-            k = max(1, int(load * mesh.num_nodes))
-            points = run_case(
-                partial(_problem, mesh, k),
-                RestrictedPriorityPolicy,
-                SEEDS,
-                workers=bench_workers(),
-            )
-            times = []
-            for point in points:
-                assert point.result.completed
-                times.append(point.result.total_steps)
-            mean = summarize(times).mean
-            rows.append([side, k, mean])
-            ns.append(side)
-            ks.append(k)
-            ts.append(mean)
+    for (side, k), points in zip(grid, campaign_points(specs, len(SEEDS))):
+        times = []
+        for point in points:
+            assert point.result.completed
+            times.append(point.result.total_steps)
+        mean = summarize(times).mean
+        rows.append([side, k, mean])
+        ns.append(side)
+        ks.append(k)
+        ts.append(mean)
     two_factor = fit_two_factor(ns, ks, ts)
     # Fixed-n slice for the k exponent alone (largest mesh).
     slice_k = [(k, t) for n, k, t in zip(ns, ks, ts) if n == SIDES[-1]]

@@ -8,57 +8,55 @@ and itself reproduces the paper's "greedy is much faster in practice"
 observation).
 """
 
-from functools import partial
+from bench_util import campaign_points, emit_table, once
 
-from bench_util import bench_workers, emit_table, once
-
-from repro.algorithms import RestrictedPriorityPolicy
-from repro.analysis.runner import run_case
 from repro.analysis.stats import summarize
-from repro.mesh.topology import Mesh
+from repro.campaign import CaseSpec
 from repro.potential.bounds import theorem20_bound
-from repro.workloads import random_many_to_many
 
 SIDES = (8, 16, 32)
 LOADS = (0.125, 0.5, 1.0, 2.0)  # k as a multiple of n^2 (capped)
 SEEDS = (0, 1, 2)
 
 
-def _problem(mesh, k, seed):
-    return random_many_to_many(mesh, k=k, seed=seed)
-
-
 def _sweep():
+    grid = [
+        (side, k)
+        for side in SIDES
+        for k in (int(load * side * side) for load in LOADS)
+        if 1 <= k <= 2 * side * side
+    ]
+    specs = [
+        CaseSpec(
+            topology="mesh",
+            workload="random",
+            policy="restricted-priority",
+            seed=seed,
+            side=side,
+            workload_params=(("k", k),),
+            max_steps=int(theorem20_bound(side, k)) + 1,
+        )
+        for side, k in grid
+        for seed in SEEDS
+    ]
     rows = []
-    for side in SIDES:
-        mesh = Mesh(2, side)
-        for load in LOADS:
-            k = int(load * mesh.num_nodes)
-            if k < 1 or k > 2 * mesh.num_nodes:
-                continue
-            points = run_case(
-                partial(_problem, mesh, k),
-                RestrictedPriorityPolicy,
-                SEEDS,
-                max_steps=int(theorem20_bound(side, k)) + 1,
-                workers=bench_workers(),
-            )
-            times = []
-            for point in points:
-                assert point.result.completed, "Theorem 20 bound exceeded!"
-                times.append(point.result.total_steps)
-            summary = summarize(times)
-            bound = theorem20_bound(side, k)
-            rows.append(
-                [
-                    side,
-                    k,
-                    summary.mean,
-                    summary.maximum,
-                    bound,
-                    summary.maximum / bound,
-                ]
-            )
+    for (side, k), points in zip(grid, campaign_points(specs, len(SEEDS))):
+        times = []
+        for point in points:
+            assert point.result.completed, "Theorem 20 bound exceeded!"
+            times.append(point.result.total_steps)
+        summary = summarize(times)
+        bound = theorem20_bound(side, k)
+        rows.append(
+            [
+                side,
+                k,
+                summary.mean,
+                summary.maximum,
+                bound,
+                summary.maximum / bound,
+            ]
+        )
     return rows
 
 

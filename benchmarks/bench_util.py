@@ -12,6 +12,7 @@ import os
 from typing import Iterable, Sequence
 
 from repro.analysis.tables import format_table
+from repro.campaign import Campaign
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -53,11 +54,25 @@ def bench_workers() -> int:
     """Worker-process count for the sweep-style drivers.
 
     Controlled by the ``REPRO_BENCH_WORKERS`` environment variable so
-    CI and local runs can fan seed replicates across cores without
-    editing the benchmarks; defaults to serial (1), which produces
-    identical results (see repro.analysis.runner.ParallelExecutor).
+    CI and local runs can fan cases across cores without editing the
+    benchmarks; defaults to serial (1).  A campaign's pooled points
+    are identical to its serial ones (see repro.campaign.Campaign).
     """
     try:
         return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
     except ValueError:
         return 1
+
+
+def campaign_points(specs, group):
+    """Run ``specs`` as one storeless campaign on ``bench_workers()``
+    processes; return its points in consecutive groups of ``group``
+    (one group per grid point when specs list each point's seeds
+    together)."""
+    with Campaign(specs, workers=bench_workers()) as campaign:
+        result = campaign.run()
+    assert not result.failures, result.failures
+    return [
+        result.points[start : start + group]
+        for start in range(0, len(result.points), group)
+    ]

@@ -1,10 +1,6 @@
-"""Experiment harness: runners, statistics, fits, tables, livelock tools."""
+"""Analysis tools: statistics, fits, tables, reports, livelock and
+worst-case search.  Experiments execute through :mod:`repro.campaign`."""
 
-from repro.analysis.checkpoint import (
-    SweepCheckpoint,
-    point_from_manifest,
-    spec_key,
-)
 from repro.analysis.livelock import (
     DetectedCycle,
     GreedyLivelock,
@@ -25,16 +21,6 @@ from repro.analysis.reporting import (
     parse_block,
     write_report,
 )
-from repro.analysis.runner import (
-    CaseSpec,
-    ExperimentPoint,
-    ParallelExecutor,
-    SweepResult,
-    aggregate_telemetry,
-    compare_policies,
-    run_case,
-    sweep,
-)
 from repro.analysis.stats import (
     Summary,
     confidence_interval,
@@ -54,21 +40,14 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
-    "CaseSpec",
     "DetectedCycle",
     "ExperimentBlock",
-    "ExperimentPoint",
     "GreedyLivelock",
-    "ParallelExecutor",
     "PowerLawFit",
     "Summary",
-    "SweepCheckpoint",
-    "SweepResult",
     "TwoFactorFit",
     "WorstCaseResult",
-    "aggregate_telemetry",
     "build_report",
-    "compare_policies",
     "confidence_interval",
     "detect_cycle",
     "find_greedy_cycle",
@@ -81,13 +60,9 @@ __all__ = [
     "greedy_successors",
     "load_results",
     "parse_block",
-    "point_from_manifest",
     "ratio_summary",
-    "spec_key",
-    "run_case",
     "search_with_restarts",
     "search_worst_permutation",
     "summarize",
-    "sweep",
     "write_report",
 ]

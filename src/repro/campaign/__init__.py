@@ -1,9 +1,9 @@
 """Campaign orchestration: persistent pools over declarative specs.
 
-``repro.campaign`` is the execution layer of the experiment stack,
-extracted from ``repro.analysis.runner`` so that large sweeps — the
-Theorem 20 validation grid and the adversary zoo behind it — can run
-through one long-lived worker pool instead of paying pool spawn and
+``repro.campaign`` is the one execution harness of the experiment
+stack: ``repro sweep``, ``repro campaign`` and the benchmark drivers
+(the Theorem 20 grid, the scaling fit) all run their cases through
+it, over one long-lived worker pool instead of paying pool spawn and
 mesh pickling per sweep.  The package splits into four layers:
 
 * :mod:`repro.campaign.spec` — the declarative
@@ -26,10 +26,6 @@ mesh pickling per sweep.  The package splits into four layers:
   (:class:`~repro.campaign.progress.CampaignProgress`, counts /
   throughput / ETA) reconstructed purely from the event log, behind
   ``repro campaign status --watch``.
-
-The legacy factory-based harness (``repro.analysis.runner``) routes
-its process fan-out through :class:`WorkerPool` too, so chaos-recovery
-behavior is shared rather than duplicated.
 """
 
 from repro.campaign.orchestrator import Campaign, CampaignResult

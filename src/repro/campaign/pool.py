@@ -1,16 +1,13 @@
 """The persistent worker pool behind every process fan-out.
 
-``ProcessPoolExecutor`` spawn cost dominated the old per-sweep pools:
-every ``sweep()`` call started fresh workers, shipped them pickled
-meshes per chunk, and tore everything down — which is why BENCH rows
-showed ``workers_2`` *slower* than serial.  :class:`WorkerPool`
-inverts the lifecycle: the pool outlives individual batches, worker
-processes keep their per-process caches warm across batches (see
-:mod:`repro.campaign.worker`), and an ``initializer`` can pre-warm
-them before the first chunk lands.
+``ProcessPoolExecutor`` spawn cost dominates a pool started per batch:
+fresh workers, meshes shipped per chunk, everything torn down after.
+:class:`WorkerPool` inverts the lifecycle: the pool outlives
+individual batches, worker processes keep their per-process caches
+warm across batches (see :mod:`repro.campaign.worker`), and an
+``initializer`` can pre-warm them before the first chunk lands.
 
-The crash-recovery machinery from the legacy ``ParallelExecutor``
-(PR 5) lives here now, intact and generic over the payload type:
+Crash recovery is generic over the payload type:
 
 * a killed/crashed worker loses only the chunk it held; up to
   ``retries`` fresh pool passes re-run the gaps (with exponential
@@ -24,13 +21,12 @@ The crash-recovery machinery from the legacy ``ParallelExecutor``
 
 Exceptions raised *by the chunk function itself* are deterministic
 and re-raised immediately (the campaign chunk function converts
-per-case failures to data before they get here; the legacy harness
-relies on the re-raise).
+per-case failures to data before they get here).  Items and the chunk
+function must pickle: a pooled batch that cannot send one raises.
 """
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -77,8 +73,8 @@ class WorkerPool:
     to the serial one.
 
     The pool degrades gracefully to in-process execution when
-    ``workers <= 1``, the batch has fewer than two items, an item
-    fails to pickle, or the pool cannot be started at all.
+    ``workers <= 1``, the batch has fewer than two items, or the pool
+    cannot be started at all.
     """
 
     #: Target chunks per worker: mild oversubscription keeps workers
@@ -206,11 +202,7 @@ class WorkerPool:
             if on_result is not None:
                 on_result(index, result)
 
-        if (
-            self.workers == 1
-            or len(items) < 2
-            or not self._picklable(items)
-        ):
+        if self.workers == 1 or len(items) < 2:
             for index, item in enumerate(items):
                 self.attempts[index] = 1
                 record(index, fn([item])[0])
@@ -299,8 +291,9 @@ class WorkerPool:
                         healthy = False
                         continue
                     except BaseException:
-                        # Deterministic chunk failure: don't let the
-                        # rest of the pool grind on before re-raising.
+                        # Deterministic chunk failure (or a payload
+                        # that failed to pickle): don't let the rest
+                        # of the pool grind on before re-raising.
                         healthy = False
                         raise
                     for index, result in zip(chunk, chunk_results):
@@ -309,11 +302,3 @@ class WorkerPool:
             if not healthy:
                 self.degraded = True
                 self._discard(wait_for_workers=False)
-
-    @staticmethod
-    def _picklable(items: Sequence[Any]) -> bool:
-        try:
-            pickle.dumps(items)
-        except Exception:
-            return False
-        return True

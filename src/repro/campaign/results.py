@@ -1,11 +1,9 @@
-"""Result carriers shared by the campaign and legacy harnesses.
+"""Result carriers of the campaign harness.
 
-:class:`ExperimentPoint` lived in ``repro.analysis.runner`` through
-PR 5; it moved here so the campaign layers can use it without
-importing the factory-based harness (which now re-exports it for
-compatibility).  :class:`CaseFailure` is campaign-only: the
-orchestrator records a failed case as data instead of letting one bad
-spec abort a thousand-case campaign.
+:class:`ExperimentPoint` is one finished case with its sweep labels.
+:class:`CaseFailure` is a case that raised: the orchestrator records
+it as data instead of letting one bad spec abort a thousand-case
+campaign.
 
 :func:`summary_result` is the wire diet both execution paths share:
 per-step metrics and per-packet outcomes stay in the worker, only the

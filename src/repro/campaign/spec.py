@@ -14,9 +14,7 @@ hold one.
 :func:`spec_key` derives a stable content identity from the canonical
 JSON form; the campaign event log keys every event on it, which is
 what makes a resumed campaign match its own history across process
-restarts (same role as the legacy
-:func:`repro.analysis.checkpoint.spec_key`, without the
-factory-qualname fragility).
+restarts.
 """
 
 from __future__ import annotations

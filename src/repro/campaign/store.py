@@ -19,8 +19,7 @@ Every line carries ``schema_version`` and a ``created_at`` timestamp
 (via the sanctioned :func:`repro.obs.clock.utc_now_iso`); every event
 names its case by the content-derived
 :func:`~repro.campaign.spec.spec_key`.  Appends go through
-:func:`repro.obs.manifest.append_jsonl` with ``fsync=True`` — the same
-durability contract as the legacy sweep checkpoint: once an append
+:func:`repro.obs.manifest.append_jsonl` with ``fsync=True``: once an append
 returns, a crash can lose at most a torn trailing line, never an
 acknowledged event.  :meth:`CampaignStore.replay` folds the log into
 current state with the same torn-line tolerance as
@@ -28,8 +27,8 @@ current state with the same torn-line tolerance as
 are skipped and described in ``errors``, and the case a torn
 ``case-finished`` acknowledged simply runs again.
 
-Because events are immutable and replay is a pure fold, properties the
-old mutable checkpoint could not express come for free: the first
+Because events are immutable and replay is a pure fold, properties a
+mutable checkpoint file could not express come for free: the first
 ``case-finished`` for a key wins (duplicates from a crash-retry race
 are ignored), a ``case-failed`` key is re-runnable on resume, and the
 queue order — priority first, then submission order — is recoverable

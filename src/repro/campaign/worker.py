@@ -231,8 +231,8 @@ def execute_case(
     """Resolve and run one spec; returns a summary-level point.
 
     The point's params are the spec's sweep labels with ``seed`` /
-    ``policy`` / ``k`` / ``n`` filled in (same convention as the
-    legacy harness), and the result is stripped to summary level —
+    ``policy`` / ``k`` / ``n`` filled in, and the result is stripped
+    to summary level —
     the representation that crosses process boundaries and lands in
     the event log.
 

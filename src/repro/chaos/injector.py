@@ -5,7 +5,7 @@ kills links and nodes inside the model).  This module is the other
 half: it attacks the machinery the reproduction relies on to survive
 the real world — the fsynced ``O_APPEND`` writes behind
 :func:`repro.obs.manifest.append_jsonl`, which carry the campaign
-event log, the sweep checkpoint, and every telemetry manifest.
+event log and every telemetry manifest.
 
 Injection happens at the two module-level syscall seams
 ``repro.obs.manifest._os_write`` / ``_os_fsync``.  Patching the seams

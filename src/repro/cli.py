@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from typing import List, Optional
 
 from repro.algorithms import (
@@ -368,13 +367,8 @@ def cmd_route(args: argparse.Namespace) -> int:
     return 0 if result.completed else 1
 
 
-def _random_problem(mesh: Mesh, k: int, seed: int) -> RoutingProblem:
-    """Module-level problem factory so sweep cases pickle to workers."""
-    return random_many_to_many(mesh, k=k, seed=seed)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import run_case
+    from repro.campaign import Campaign, CaseSpec
 
     if args.telemetry:
         from repro.obs.manifest import (
@@ -383,16 +377,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     mesh = _build_mesh(args)
-    rows = []
-    manifests = 0
+    ks = []
     k = max(1, args.k_min)
     while k <= args.k_max:
-        points = run_case(
-            partial(_random_problem, mesh, k),
-            partial(make_policy, args.policy),
-            seeds=range(args.seeds),
-            workers=args.workers,
+        ks.append(k)
+        k *= 2
+    specs = [
+        CaseSpec(
+            topology=args.topology,
+            side=args.side,
+            dimension=args.dimension,
+            workload="random",
+            workload_params=(("k", k),),
+            policy=args.policy,
+            seed=seed,
         )
+        for k in ks
+        for seed in range(args.seeds)
+    ]
+    with Campaign(specs, workers=args.workers) as campaign:
+        result = campaign.run()
+    if result.failures:
+        failure = result.failures[0]
+        raise SystemExit(
+            f"sweep case failed: {failure.error}: {failure.message}"
+        )
+    rows = []
+    manifests = 0
+    for index, k in enumerate(ks):
+        points = result.points[index * args.seeds : (index + 1) * args.seeds]
         if args.telemetry:
             # One manifest per point: telemetry rides inside each
             # RunResult, back across worker-process boundaries.
@@ -417,7 +430,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append([k, mean, max(times), bound, max(times) / bound])
         else:
             rows.append([k, mean, max(times), "-", "-"])
-        k *= 2
     print(
         format_table(
             ["k", "T mean", "T max", "Thm20 bound", "max/bound"],
@@ -773,6 +785,11 @@ def _add_mesh_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dimension", type=int, default=2, help="dimension d (default 2)"
     )
+
+
+def _add_seed_argument(parser: argparse.ArgumentParser) -> None:
+    """``--seed`` for the single-run commands; ``sweep`` and
+    ``campaign run`` replicate over seeds ``0..--seeds-1`` instead."""
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
@@ -806,6 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     route = commands.add_parser("route", help="route one workload")
     _add_mesh_arguments(route)
+    _add_seed_argument(route)
     _add_backend_argument(route)
     route.add_argument("--workload", choices=WORKLOADS, default="random")
     route.add_argument("--k", type=int, default=None, help="batch size")
@@ -874,7 +892,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     route.set_defaults(func=cmd_route)
 
-    sweep = commands.add_parser("sweep", help="sweep k, print T vs bound")
+    # The seed-replicated commands take no --seed; without abbreviation
+    # it cannot silently parse as --seeds either.
+    sweep = commands.add_parser(
+        "sweep", help="sweep k, print T vs bound", allow_abbrev=False
+    )
     _add_mesh_arguments(sweep)
     sweep.add_argument("--policy", default="restricted-priority")
     sweep.add_argument("--k-min", type=int, default=8)
@@ -884,8 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes for seed replicates (1 = serial; results are "
-        "identical either way)",
+        help="campaign pool size for the sweep's (k, seed) cases "
+        "(1 = serial; results are identical either way)",
     )
     sweep.add_argument(
         "--telemetry",
@@ -898,6 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dynamic", help="continuous-traffic load sweep"
     )
     _add_mesh_arguments(dynamic)
+    _add_seed_argument(dynamic)
     _add_backend_argument(dynamic)
     dynamic.add_argument(
         "--policy",
@@ -931,6 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the kernel pipeline phases for one scenario",
     )
     _add_mesh_arguments(profile)
+    _add_seed_argument(profile)
     _add_backend_argument(profile, auto=False)
     profile.add_argument("--workload", choices=WORKLOADS, default="random")
     profile.add_argument("--k", type=int, default=None, help="batch size")
@@ -974,7 +998,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     campaign_run = campaign_commands.add_parser(
-        "run", help="queue and execute a seed-replicated campaign"
+        "run",
+        help="queue and execute a seed-replicated campaign",
+        allow_abbrev=False,
     )
     _add_mesh_arguments(campaign_run)
     _add_backend_argument(campaign_run)

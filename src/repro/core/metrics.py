@@ -196,6 +196,10 @@ class RunResult:
 
     @property
     def total_deflections(self) -> int:
+        """Deflections summed over packets.  A summary-level result
+        (no outcomes) reads its telemetry's count, the same figure."""
+        if not self.outcomes and self.telemetry is not None:
+            return self.telemetry.deflections
         return sum(o.deflections for o in self.outcomes)
 
     @property

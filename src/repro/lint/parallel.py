@@ -1,12 +1,11 @@
 """Parallel payload purity rules (PAR5xx).
 
-``CaseSpec`` factories and ``ParallelExecutor`` payloads cross a
-process boundary, so they must pickle — which means module-level
-functions or ``functools.partial`` over them, never lambdas or
-locally-defined callables.  Today that contract is documented on
-``CaseSpec`` and fails at runtime, deep inside a pool worker, with a
-pickling traceback that names none of the offending code.  These rules
-move the failure to lint time:
+What ``WorkerPool.run_batch`` and an executor's ``submit`` hand to a
+worker crosses a process boundary, so it must pickle — which means
+module-level functions or ``functools.partial`` over them, never
+lambdas or locally-defined callables.  At runtime that failure
+surfaces as a pickling error raised from the pool, which names none
+of the offending code.  These rules move the failure to lint time:
 
 * ``PAR501`` — a lambda (inline or via a local name) flows into a
   submission call;
@@ -29,28 +28,16 @@ __all__ = ["PARALLEL_RULES"]
 #: Rule ids this module registers, in registration order.
 PARALLEL_RULES = ("PAR501", "PAR502")
 
-#: Calls whose arguments cross the pickling boundary: spec
-#: construction, executor and campaign-pool submission, and the
-#: analysis front doors that forward factories into specs.
-_SUBMISSION_CALLS: FrozenSet[str] = frozenset(
-    {
-        "CaseSpec",
-        "compare_policies",
-        "run_batch",
-        "run_case",
-        "run_cases",
-        "submit",
-        "sweep",
-    }
-)
+#: Calls whose arguments cross the pickling boundary: campaign-pool
+#: and executor submission.  Campaign specs are plain data and cannot
+#: carry a callable.
+_SUBMISSION_CALLS: FrozenSet[str] = frozenset({"run_batch", "submit"})
 
 
 #: Keyword arguments of submission calls that stay in the parent
 #: process: result callbacks fire after the worker's payload comes
 #: back, so they never pickle and may close over anything.
-_PARENT_SIDE_KEYWORDS: FrozenSet[str] = frozenset(
-    {"on_point", "on_result"}
-)
+_PARENT_SIDE_KEYWORDS: FrozenSet[str] = frozenset({"on_result"})
 
 
 def _call_name(node: ast.Call) -> str:
@@ -135,9 +122,8 @@ class LambdaPayloadRule(Rule):
     id = "PAR501"
     name = "lambda-payload"
     description = (
-        "lambdas cannot pickle; CaseSpec factories and executor "
-        "payloads must be module-level functions or functools.partial "
-        "over them"
+        "lambdas cannot pickle; run_batch and submit payloads must be "
+        "module-level functions or functools.partial over them"
     )
     severity = Severity.ERROR
     domains = None
@@ -151,7 +137,7 @@ class LambdaPayloadRule(Rule):
                     context,
                     payload,
                     f"lambda passed to {_call_name(call)}(); it fails "
-                    "to pickle only once a pool worker unpacks it",
+                    "to pickle only once the pool sends it",
                 )
             elif (
                 isinstance(payload, ast.Name)

@@ -73,10 +73,12 @@ _REQUIRED_FIELDS: Dict[str, tuple] = {
 }
 
 #: Optional manifest keys (newer writers only) and their JSON types.
-#: ``case`` is the sweep-checkpoint identity payload (see
-#: :mod:`repro.analysis.checkpoint`); ``backend`` names the step loop
-#: that ran (``"object"`` or ``"soa"``), which fixes what ``phases``
-#: mean.  Readers must tolerate the absence of either.
+#: ``case`` carries the sweep labels of the campaign case that produced
+#: the run (``repro campaign run --telemetry``; files from the removed
+#: sweep checkpoint hold ``{"key", "params"}`` there and still read as
+#: manifests); ``backend`` names the step loop that ran (``"object"``
+#: or ``"soa"``), which fixes what ``phases`` mean.  Readers must
+#: tolerate the absence of either.
 _OPTIONAL_FIELDS: Dict[str, tuple] = {
     "case": (dict, type(None)),
     "backend": (str, type(None)),
@@ -125,7 +127,7 @@ class RunManifest:
     result: Dict[str, Any]
     telemetry: Optional[Dict[str, int]] = None
     phases: Optional[Dict[str, int]] = None
-    #: Sweep-checkpoint identity: which CaseSpec produced this run.
+    #: Sweep labels of the campaign case that produced this run.
     case: Optional[Dict[str, Any]] = None
     #: Step loop the run used ("object" or "soa"); the numpy array
     #: step reports its fused sort/assign/move span as rank and gives
@@ -344,8 +346,7 @@ def manifest_from_run_result(
     """Build a manifest from a bare :class:`RunResult` (no engine in
     hand — e.g. sweep points shipped back from worker processes).
 
-    ``case`` attaches the sweep-checkpoint identity payload so crashed
-    sweeps can be resumed from the manifest file alone.
+    ``case`` attaches the campaign case's sweep labels.
     """
     return RunManifest(
         case=case,
@@ -395,9 +396,8 @@ def append_jsonl(
     With ``fsync=True`` the buffer is fsynced before the descriptor
     closes, so a crash immediately after the call can lose at most a
     torn trailing line, never an acknowledged one — the durability
-    contract the sweep checkpoint and the campaign event log both rely
-    on.  Batching several payloads into one call pays the fsync once
-    for the whole batch.
+    contract the campaign event log relies on.  Batching several
+    payloads into one call pays the fsync once for the whole batch.
     """
     if not payloads:
         return

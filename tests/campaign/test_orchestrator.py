@@ -69,6 +69,31 @@ class TestSerialRun:
             p.result.total_steps for p in result.points
         )
 
+    @pytest.mark.parametrize(
+        "engine, policy",
+        [
+            ("hot-potato", "restricted-priority"),
+            ("buffered", "dimension-order"),
+        ],
+    )
+    def test_points_do_not_depend_on_the_backend(self, engine, policy):
+        # k = 40 starts on the numpy step and finishes columnar.
+        runs = []
+        for backend in ("object", "soa", "auto"):
+            specs = _specs(
+                [0, 1],
+                engine=engine,
+                policy=policy,
+                backend=backend,
+                strict_validation=False,
+                side=8,
+                workload_params=(("k", 40),),
+            )
+            with Campaign(specs) as campaign:
+                runs.append(campaign.run().points)
+        assert runs[0] == runs[1] == runs[2]
+        assert all(point.result.completed for point in runs[0])
+
     def test_duplicate_specs_are_rejected(self):
         specs = _specs([0]) + _specs([0])
         with pytest.raises(ValueError, match="duplicate case specs"):

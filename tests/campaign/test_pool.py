@@ -1,13 +1,25 @@
-"""The persistent WorkerPool: serial paths, persistence, callbacks.
+"""The persistent WorkerPool: serial paths, persistence, callbacks,
+crash recovery.
 
 The chunk functions live at module level — the same PAR502 pickling
 contract the pool enforces on its callers.  Process-spawning cases are
-marked ``slow`` like the rest of the parallel suite.
+marked ``slow`` like the rest of the parallel suite.  Crash and hang
+behaviour is armed through sentinel files, so a chunk misbehaves
+exactly once and then runs normally: the first pool pass fails, the
+retry (or the serial fallback) succeeds.
 """
+
+import multiprocessing
+import os
+import threading
+import time
+from functools import partial
 
 import pytest
 
+from repro.campaign import CaseSpec
 from repro.campaign.pool import BACKOFF_CAP, WorkerPool
+from repro.campaign.worker import execute_chunk
 
 
 def _double_chunk(chunk):
@@ -16,6 +28,46 @@ def _double_chunk(chunk):
 
 def _raising_chunk(chunk):
     raise ValueError("deterministic chunk failure")
+
+
+def _arm(sentinel):
+    """True exactly once per sentinel path (the first caller wins)."""
+    try:
+        with open(sentinel, "x", encoding="utf-8"):
+            return True
+    except FileExistsError:
+        return False
+
+
+def _crash_once_chunk(sentinel, chunk):
+    """Kill the whole worker process on first use, then run the specs.
+
+    Never exits the test process itself (a pool that cannot start runs
+    the batch serially here)."""
+    if _arm(sentinel) and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return execute_chunk(chunk)
+
+
+def _hang_once_chunk(sentinel, chunk):
+    """Hang (longer than any test timeout) on first use, then run."""
+    if _arm(sentinel):
+        time.sleep(8.0)
+    return execute_chunk(chunk)
+
+
+def _specs(seeds):
+    return [
+        CaseSpec(
+            topology="mesh",
+            workload="random",
+            policy="restricted-priority",
+            seed=seed,
+            side=4,
+            workload_params=(("k", 8),),
+        )
+        for seed in seeds
+    ]
 
 
 class TestSerialPath:
@@ -29,20 +81,6 @@ class TestSerialPath:
     def test_single_item_batches_stay_serial(self):
         pool = WorkerPool(workers=4)
         assert pool.run_batch([5], _double_chunk) == [10]
-        assert pool.chunked == 0
-        pool.close()
-
-    def test_unpicklable_items_fall_back_to_serial(self):
-        pool = WorkerPool(workers=2)
-        items = [1, lambda: None, 3]
-
-        def identity_chunk(chunk):
-            return list(chunk)
-
-        # The serial path never pickles, so even the local chunk fn
-        # and the lambda item are fine.
-        out = pool.run_batch(items, identity_chunk)
-        assert out[0] == 1 and out[2] == 3
         assert pool.chunked == 0
         pool.close()
 
@@ -69,6 +107,24 @@ class TestSerialPath:
         pool = WorkerPool(workers=1)
         assert pool.start() is False
         assert pool.starts == 0
+
+    def test_workers_floor_is_one(self):
+        assert WorkerPool(workers=0).workers == 1
+        assert WorkerPool(workers=-3).workers == 1
+
+
+class TestChunkPartition:
+    """The chunk planner alone — no processes spawned."""
+
+    def test_chunk_count_tracks_workers(self):
+        pending = list(range(64))
+        few = WorkerPool(workers=2)._chunks(pending)
+        many = WorkerPool(workers=8)._chunks(pending)
+        assert len(few) <= 2 * WorkerPool.CHUNKS_PER_WORKER
+        assert len(many) >= len(few)
+
+    def test_small_batches_chunk_one_item_each(self):
+        assert WorkerPool(workers=4)._chunks([0, 1, 2]) == [[0], [1], [2]]
 
 
 @pytest.mark.slow
@@ -149,3 +205,72 @@ class TestRetryBackoffAndAttempts:
         pool = WorkerPool(workers=1)
         assert pool.run_batch([1, 2, 3], _double_chunk) == [2, 4, 6]
         assert pool.attempts == {0: 1, 1: 1, 2: 1}
+
+
+@pytest.mark.slow
+class TestCrashRecovery:
+    def test_killed_worker_costs_nothing_but_a_retry(self, tmp_path):
+        sentinel = str(tmp_path / "crashed")
+        landed = []
+        with WorkerPool(workers=2, retries=2, backoff=0) as pool:
+            points = pool.run_batch(
+                _specs([0, 1, 2, 3]),
+                partial(_crash_once_chunk, sentinel),
+                on_result=lambda index, point: landed.append(index),
+            )
+        assert [p.params["seed"] for p in points] == [0, 1, 2, 3]
+        assert all(p.result.completed for p in points)
+        assert pool.degraded
+        assert os.path.exists(sentinel)
+        # Every item lands exactly once, crash and retry included:
+        # the campaign store appends one case-finished per landing.
+        assert sorted(landed) == [0, 1, 2, 3]
+
+    def test_crash_results_match_a_clean_run(self, tmp_path):
+        sentinel = str(tmp_path / "crashed")
+        specs = _specs([0, 1, 2])
+        with WorkerPool(workers=2, retries=2, backoff=0) as pool:
+            crashed = pool.run_batch(
+                specs, partial(_crash_once_chunk, sentinel)
+            )
+        clean = WorkerPool(workers=1).run_batch(specs, execute_chunk)
+        assert crashed == clean
+
+    def test_retries_zero_falls_back_to_serial(self, tmp_path):
+        sentinel = str(tmp_path / "crashed")
+        with WorkerPool(workers=2, retries=0) as pool:
+            points = pool.run_batch(
+                _specs([0, 1]), partial(_crash_once_chunk, sentinel)
+            )
+        assert len(points) == 2
+        assert all(p.result.completed for p in points)
+        assert pool.degraded
+
+    def test_hung_worker_is_abandoned_after_the_timeout(self, tmp_path):
+        sentinel = str(tmp_path / "slept")
+        pool = WorkerPool(workers=2, timeout=0.5, retries=1, backoff=0)
+        start = time.monotonic()
+        try:
+            points = pool.run_batch(
+                _specs([0, 1, 2]), partial(_hang_once_chunk, sentinel)
+            )
+        finally:
+            pool.close()
+        elapsed = time.monotonic() - start
+        assert len(points) == 3
+        assert all(p.result.completed for p in points)
+        assert pool.degraded
+        # The 8s sleeper must not be waited out.
+        assert elapsed < 6
+
+    def test_deterministic_chunk_exception_propagates(self):
+        with WorkerPool(workers=2, retries=3, backoff=0) as pool:
+            with pytest.raises(ValueError, match="deterministic chunk"):
+                pool.run_batch([1, 2], _raising_chunk)
+        # Retrying cannot fix a deterministic failure: no second try.
+        assert pool.attempts == {0: 1, 1: 1}
+
+    def test_unpicklable_item_in_a_pooled_batch_raises(self):
+        with WorkerPool(workers=2) as pool:
+            with pytest.raises(TypeError, match="pickle"):
+                pool.run_batch([1, threading.Lock(), 3], _double_chunk)

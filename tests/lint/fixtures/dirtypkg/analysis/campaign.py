@@ -1,53 +1,35 @@
 """Dirty parallel-payload module: PAR5xx vectors (never run).
 
-``CaseSpec`` factories and executor payloads cross a process boundary;
-everything here would pickle-fail deep inside a pool worker, which is
-exactly why the rules move the failure to lint time.
+Chunk functions handed to ``WorkerPool.run_batch`` and callables handed
+to an executor's ``submit`` cross a process boundary; everything here
+would pickle-fail inside the pool, which is exactly why the rules move
+the failure to lint time.
 """
 
 from functools import partial
 
-from dirtypkg.analysis.runner import CaseSpec
+
+def module_level_chunk(chunk):
+    return list(chunk)
 
 
-def module_level_problem():
-    return None
+def dispatch(pool, executor, specs):
+    # PAR501 fire: inline lambda chunk function.
+    direct = pool.run_batch(specs, lambda chunk: list(chunk))
+    # PAR501 suppressed twin, on the executor boundary.
+    waved = executor.submit(lambda: specs)  # repro: noqa[PAR501]
 
+    def local_chunk(chunk):
+        return list(chunk)
 
-def build_specs(seed):
-    # PAR501 fire: inline lambda payload.
-    direct = CaseSpec(problem_factory=lambda: None, seed=seed)
-    # PAR501 suppressed twin.
-    waved = CaseSpec(problem_factory=lambda: None, seed=seed)  # repro: noqa[PAR501]
-
-    make_policy = lambda: None
-    # PAR501 fire: lambda smuggled through a local name.
-    named = CaseSpec(policy_factory=make_policy, seed=seed)
-
-    def local_problem():
-        return None
-
-    # PAR502 fire: locally-defined callable pickles by a <locals>
-    # qualname no pool worker can resolve.
-    nested = CaseSpec(problem_factory=local_problem, seed=seed)
-    # PAR502 suppressed twin.
-    again = CaseSpec(problem_factory=local_problem, seed=seed)  # repro: noqa[PAR502]
+    # PAR502 fire: partial over a local def pickles by a <locals>
+    # qualname no worker can resolve.
+    nested = executor.submit(partial(local_chunk, specs))
+    # PAR502 suppressed twin, on the pool boundary.
+    again = pool.run_batch(specs, local_chunk)  # repro: noqa[PAR502]
 
     # Clean: module-level functions and partials over them pickle by
     # qualified name.
-    good = CaseSpec(problem_factory=module_level_problem, seed=seed)
-    wrapped = CaseSpec(
-        problem_factory=partial(module_level_problem), seed=seed
-    )
-    return direct, waved, named, nested, again, good, wrapped
-
-
-def enqueue(executor, payload):
-    # PAR501 fire: executor submission is the same boundary.
-    executor.submit(lambda: payload)
-    # PAR502 fire via partial: partial over a local def does not help.
-    def local_step():
-        return payload
-
-    executor.submit(partial(local_step, payload))
-    return executor
+    good = pool.run_batch(specs, module_level_chunk)
+    wrapped = executor.submit(partial(module_level_chunk, specs))
+    return direct, waved, nested, again, good, wrapped

@@ -1,4 +1,5 @@
-"""PAR5xx parallel payload purity: what may cross the pickle boundary."""
+"""PAR5xx parallel payload purity: what may cross the pickle boundary
+(``run_batch`` and ``submit`` payloads)."""
 
 from repro.lint import lint_paths
 
@@ -12,14 +13,14 @@ class TestPar501Lambdas:
         root = write_tree(
             {
                 "pkg/mod.py": """\
-                def build(seed):
-                    return CaseSpec(problem_factory=lambda: None, seed=seed)
+                def build(executor):
+                    return executor.submit(lambda: None)
                 """,
             }
         )
         report = lint_paths([root], select=["PAR501"])
         assert _rules(report) == [("PAR501", 2)]
-        assert "CaseSpec" in report.findings[0].message
+        assert "submit" in report.findings[0].message
 
     def test_lambda_via_name_fires(self, write_tree):
         root = write_tree(
@@ -67,11 +68,11 @@ class TestPar502LocalCallables:
         root = write_tree(
             {
                 "pkg/mod.py": """\
-                def build(seed):
-                    def local_problem():
+                def build(executor):
+                    def local_step():
                         return None
 
-                    return CaseSpec(problem_factory=local_problem)
+                    return executor.submit(local_step)
                 """,
             }
         )
@@ -101,14 +102,12 @@ class TestPar502LocalCallables:
                 "pkg/mod.py": """\
                 from functools import partial
 
-                def module_problem():
-                    return None
+                def module_chunk(chunk):
+                    return list(chunk)
 
-                def build(seed):
-                    direct = CaseSpec(problem_factory=module_problem)
-                    wrapped = CaseSpec(
-                        problem_factory=partial(module_problem), seed=seed
-                    )
+                def dispatch(pool, executor, specs):
+                    direct = pool.run_batch(specs, module_chunk)
+                    wrapped = executor.submit(partial(module_chunk, specs))
                     return direct, wrapped
                 """,
             }
@@ -117,16 +116,28 @@ class TestPar502LocalCallables:
         assert report.findings == []
 
     def test_parameter_names_are_not_local_defs(self, write_tree):
-        # The real analysis front doors forward factory *parameters*
-        # into specs; those are the caller's problem, not this module's.
+        # A dispatcher that forwards a chunk-function *parameter* into
+        # the pool is clean; the parameter is the caller's problem.
         root = write_tree(
             {
                 "pkg/mod.py": """\
-                def run_cases(problem_factory, seeds):
-                    return [
-                        CaseSpec(problem_factory=problem_factory, seed=s)
-                        for s in seeds
-                    ]
+                def dispatch(pool, specs, chunk_fn):
+                    return pool.run_batch(specs, chunk_fn)
+                """,
+            }
+        )
+        report = lint_paths([root], select=["PAR501", "PAR502"])
+        assert report.findings == []
+
+    def test_spec_construction_is_not_a_boundary(self, write_tree):
+        # Only run_batch and submit ship payloads to workers; a spec
+        # constructor or a sweep helper that takes a lambda does not.
+        root = write_tree(
+            {
+                "pkg/mod.py": """\
+                def build(grid, seed):
+                    spec = CaseSpec(problem_factory=lambda: None, seed=seed)
+                    return spec, sweep(grid, lambda params: params)
                 """,
             }
         )

@@ -2,7 +2,26 @@
 
 import pytest
 
+from repro.algorithms import make_policy
+from repro.analysis.tables import format_cell
 from repro.cli import main
+from repro.core.engine import HotPotatoEngine
+from repro.core.validation import validators_for
+from repro.mesh.hypercube import Hypercube
+from repro.mesh.topology import Mesh
+from repro.mesh.torus import Torus
+from repro.workloads import random_many_to_many
+
+
+def _strict_run(mesh, policy_name, k, seed):
+    """A direct full run, configured as the sweep's default cases."""
+    policy = make_policy(policy_name)
+    return HotPotatoEngine(
+        random_many_to_many(mesh, k=k, seed=seed),
+        policy,
+        seed=seed,
+        validators=validators_for(policy, strict=True),
+    ).run()
 
 
 class TestRoute:
@@ -139,6 +158,74 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "Thm20 bound" in out
         assert "k" in out
+
+    @pytest.mark.parametrize(
+        "argv, mesh, policy",
+        [
+            (["--side", "6"], Mesh(2, 6), "restricted-priority"),
+            (
+                ["--topology", "torus", "--side", "5",
+                 "--policy", "randomized-greedy"],
+                Torus(2, 5),
+                "randomized-greedy",
+            ),
+            (
+                ["--topology", "hypercube", "--dimension", "4",
+                 "--policy", "plain-greedy"],
+                Hypercube(4),
+                "plain-greedy",
+            ),
+        ],
+        ids=["mesh", "torus", "hypercube"],
+    )
+    def test_times_equal_direct_strict_runs(self, argv, mesh, policy, capsys):
+        argv = ["sweep", "--k-min", "4", "--k-max", "16", "--seeds", "2"] + argv
+        assert main(argv) == 0
+        # Title, header and rule, then one row per k.
+        rows = [
+            line.split()[:3]
+            for line in capsys.readouterr().out.splitlines()[3:]
+        ]
+        expected = []
+        for k in (4, 8, 16):
+            times = [
+                _strict_run(mesh, policy, k, seed).total_steps
+                for seed in (0, 1)
+            ]
+            expected.append(
+                [str(k), format_cell(sum(times) / 2), str(max(times))]
+            )
+        assert rows == expected
+
+    @pytest.mark.slow
+    def test_workers_do_not_change_the_output(self, capsys):
+        argv = ["sweep", "--side", "6", "--k-max", "32", "--seeds", "3"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_failing_case_exits_with_the_case_failure(self, capsys):
+        # A side-4 mesh injects at most 48 packets.
+        argv = ["sweep", "--side", "4", "--k-min", "64", "--k-max", "64"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == (
+            "sweep case failed: ConfigurationError: "
+            "k=64 exceeds the mesh injection capacity 48"
+        )
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["campaign", "run"]], ids=["sweep", "campaign"]
+    )
+    def test_seed_replicated_commands_reject_seed(self, command, capsys):
+        # Seeds are 0..--seeds-1; --seed must neither be accepted nor
+        # abbreviate --seeds.
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--seed", "7"])
+        assert info.value.code == 2
+        assert "--seed 7" in capsys.readouterr().err
 
 
 class TestDynamic:
@@ -324,6 +411,25 @@ class TestTelemetryFlag:
         assert len(manifests) == 4
         assert all(m.command == "sweep" for m in manifests)
         assert all(m.telemetry is not None for m in manifests)
+
+    def test_campaign_manifest_counts_deflections(self, tmp_path, capsys):
+        # Campaign points are summary-level (no per-packet outcomes);
+        # their manifests must still report the run's deflections.
+        from repro.obs.manifest import read_manifests
+
+        path = str(tmp_path / "m.jsonl")
+        argv = ["campaign", "run", "--side", "8", "--k", "60",
+                "--seeds", "2", "--telemetry", path]
+        assert main(argv) == 0
+        expected = [
+            _strict_run(Mesh(2, 8), "restricted-priority", 60, seed)
+            .total_deflections
+            for seed in (0, 1)
+        ]
+        assert any(expected)
+        assert [
+            m.result["total_deflections"] for m in read_manifests(path)
+        ] == expected
 
     def test_dynamic_appends_one_manifest_per_rate(self, tmp_path, capsys):
         from repro.obs.manifest import read_manifests
