@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
@@ -99,9 +100,9 @@ class Campaign:
     ) -> None:
         self.specs = list(specs)
         self.keys = [spec_key(spec) for spec in self.specs]
-        duplicates = {
-            key for key in self.keys if self.keys.count(key) > 1
-        }
+        duplicates = [
+            key for key, count in Counter(self.keys).items() if count > 1
+        ]
         if duplicates:
             raise ValueError(
                 "duplicate case specs in campaign: "

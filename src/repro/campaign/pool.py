@@ -14,7 +14,8 @@ Crash recovery is generic over the payload type:
   ``backoff`` between attempts, slept through the sanctioned
   :func:`repro.obs.clock.sleep_for`);
 * ``timeout`` bounds the wait for the *next* completion — a wedged
-  pool is abandoned (``cancel_futures``) and replaced;
+  pool is abandoned (futures cancelled, worker processes terminated)
+  and replaced;
 * whatever survives every pool attempt runs serially in the parent,
   so every item is executed and reported exactly once;
 * any detour sets :attr:`degraded`.
@@ -151,13 +152,23 @@ class WorkerPool:
         self._discard(wait_for_workers=True)
 
     def _discard(self, *, wait_for_workers: bool) -> None:
+        """Drop the executor.  An abandoned one (``wait_for_workers``
+        False: wedged, broken, or re-raising) also has its worker
+        processes terminated: cancelling futures does not stop a
+        running chunk, and interpreter exit joins every worker, so a
+        hung one would otherwise keep the process alive."""
         if self._pool is None:
             return
         pool, self._pool = self._pool, None
         if wait_for_workers:
             pool.shutdown(wait=True)
-        else:
-            pool.shutdown(wait=False, cancel_futures=True)
+            return
+        # shutdown() forgets the processes, so take them first.
+        processes = list((pool._processes or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
 
     def __enter__(self) -> "WorkerPool":
         self.start()

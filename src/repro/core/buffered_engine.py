@@ -35,11 +35,10 @@ from repro.core.events import RunObserver
 from repro.core.kernel import (
     PhaseSink,
     StepKernel,
-    StepSummary,
     build_run_result,
     default_step_limit,
     lean_equivalent,
-    step_metrics_from_summary,
+    metrics_emitter,
 )
 from repro.core.metrics import RunResult, StepMetrics
 from repro.core.packet import Packet
@@ -148,7 +147,7 @@ class BufferedEngine:
         self.packets: List[Packet] = problem.make_packets()
         self._metrics: List[StepMetrics] = []
         self._summary_sinks: List[Any] = []
-        self._max_buffer_seen = 0
+        self._emit = metrics_emitter(self._metrics, self._summary_sinks)
         self._started = False
         self._resumed = False
         self._kernel = StepKernel(
@@ -157,7 +156,7 @@ class BufferedEngine:
             buffered=True,
             node_order="sorted",
             set_entry_direction=False,
-            emit=self._note,
+            emit=self._emit,
             telemetry=self.telemetry,
             faults=(
                 ActiveFaults(self.mesh, faults)
@@ -178,8 +177,8 @@ class BufferedEngine:
     @property
     def max_buffer_seen(self) -> int:
         """Largest per-node buffer occupancy observed (the cost the
-        hot-potato discipline avoids)."""
-        return self._max_buffer_seen
+        hot-potato discipline avoids): the telemetry's peak node load."""
+        return self.telemetry.max_node_load
 
     def run(self) -> RunResult:
         self._start()
@@ -272,7 +271,7 @@ class BufferedEngine:
     def step(self) -> None:
         self._start()
         record, summary = self._kernel.step_instrumented(self.validators)
-        self._note(summary)
+        self._emit(summary)
         for observer in self.observers:
             observer.on_step(record, self._metrics[-1])
 
@@ -313,13 +312,6 @@ class BufferedEngine:
             return
         self.on_checkpoint(self.snapshot())
 
-    def _note(self, summary: StepSummary) -> None:
-        if summary.max_node_load > self._max_buffer_seen:
-            self._max_buffer_seen = summary.max_node_load
-        self._metrics.append(step_metrics_from_summary(summary))
-        for sink in self._summary_sinks:
-            sink(summary)
-
     def _start(self) -> None:
         if self._started:
             return
@@ -333,8 +325,11 @@ class BufferedEngine:
                 delivered += 1
             else:
                 remaining.append(packet)
-        self._kernel.seed_packets(remaining, delivered_total=delivered)
-        self._summary_sinks = [
+        self._kernel.seed_packets(
+            remaining, self.problem.distances, delivered_total=delivered
+        )
+        # In place: the kernel's emit closure holds this list.
+        self._summary_sinks[:] = [
             o.on_summary
             for o in self.observers
             if getattr(o, "needs_summaries", False)

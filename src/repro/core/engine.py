@@ -40,11 +40,10 @@ from repro.core.events import RunObserver
 from repro.core.kernel import (
     PhaseSink,
     StepKernel,
-    StepSummary,
     build_run_result,
     default_step_limit,
     lean_equivalent,
-    step_metrics_from_summary,
+    metrics_emitter,
 )
 from repro.core.metrics import RunResult, StepMetrics, StepRecord
 from repro.core.packet import Packet
@@ -253,6 +252,7 @@ class HotPotatoEngine:
         self._records: List[StepRecord] = []
         self._metrics: List[StepMetrics] = []
         self._summary_sinks: List[Any] = []
+        self._emit = metrics_emitter(self._metrics, self._summary_sinks)
         self._started = False
         self._resumed = False
         self._kernel = StepKernel(
@@ -262,7 +262,7 @@ class HotPotatoEngine:
             node_order="insertion",
             set_entry_direction=True,
             record_paths=record_paths,
-            emit=self._emit_lean,
+            emit=self._emit,
             telemetry=self.telemetry,
             faults=(
                 ActiveFaults(self.mesh, faults)
@@ -402,7 +402,7 @@ class HotPotatoEngine:
         """Execute one synchronous step and return its record."""
         self._start()
         record, summary = self._kernel.step_instrumented(self.validators)
-        self._emit_lean(summary)
+        self._emit(summary)
         metrics = self._metrics[-1]
         if self.record_steps:
             self._records.append(record)
@@ -509,8 +509,11 @@ class HotPotatoEngine:
                 delivered += 1
             else:
                 remaining.append(packet)
-        self._kernel.seed_packets(remaining, delivered_total=delivered)
-        self._summary_sinks = [
+        self._kernel.seed_packets(
+            remaining, self.problem.distances, delivered_total=delivered
+        )
+        # In place: the kernel's emit closure holds this list.
+        self._summary_sinks[:] = [
             o.on_summary
             for o in self.observers
             if getattr(o, "needs_summaries", False)
@@ -540,11 +543,6 @@ class HotPotatoEngine:
                 "the capacity check; these require the instrumented loop"
             )
         return eligible
-
-    def _emit_lean(self, summary: StepSummary) -> None:
-        self._metrics.append(step_metrics_from_summary(summary))
-        for sink in self._summary_sinks:
-            sink(summary)
 
     def _build_result(self) -> RunResult:
         return build_run_result(

@@ -150,6 +150,28 @@ def step_metrics_from_summary(summary: StepSummary) -> StepMetrics:
     )
 
 
+def metrics_emitter(
+    metrics: List[StepMetrics],
+    sinks: List[Callable[[StepSummary], None]],
+) -> Callable[[StepSummary], None]:
+    """The batch engines' per-step ``emit``: append the step's
+    :class:`StepMetrics` to ``metrics``, then feed every summary sink.
+
+    A closure over the engine's lists rather than a bound method, so
+    the kernel holds no reference back to its engine and a dropped
+    engine is freed by reference counting alone.  The engine must
+    update both lists in place.
+    """
+    append = metrics.append
+
+    def emit(summary: StepSummary) -> None:
+        append(step_metrics_from_summary(summary))
+        for sink in sinks:
+            sink(summary)
+
+    return emit
+
+
 class InjectionSource(ABC):
     """Feeds new packets into a kernel run (the dynamic engines).
 
@@ -252,6 +274,9 @@ class StepKernel:
             (the instrumented step *returns* its summary instead).
         on_deliver: called with each packet the moment it is absorbed
             (the dynamic engines record latency statistics here).
+            Engines pass closures over their own state for both
+            callbacks, never their bound methods, so engine and kernel
+            form no reference cycle.
         telemetry: optional :class:`~repro.obs.telemetry.RunTelemetry`
             that every loop feeds each step's :class:`StepSummary`
             (:meth:`~repro.obs.telemetry.RunTelemetry.note_summary`),
@@ -322,19 +347,22 @@ class StepKernel:
     # ------------------------------------------------------------------
 
     def seed_packets(
-        self, packets: Iterable[Packet], delivered_total: int = 0
+        self,
+        packets: Iterable[Packet],
+        distances: Sequence[int],
+        delivered_total: int = 0,
     ) -> None:
         """Install the initial in-flight population (batch engines).
 
-        ``delivered_total`` carries zero-distance requests the engine
-        absorbed at time 0, so cumulative delivery counts include them.
+        ``distances`` gives each packet's distance by packet id: the
+        problem's :attr:`~repro.core.problem.RoutingProblem.distances`,
+        the packets still being at their sources.  ``delivered_total``
+        carries zero-distance requests the engine absorbed at time 0,
+        so cumulative delivery counts include them.
         """
         self.in_flight = list(packets)
         self.delivered_total = delivered_total
-        distance = self.mesh.distance
-        self._dist = {
-            p.id: distance(p.location, p.destination) for p in self.in_flight
-        }
+        self._dist = {p.id: distances[p.id] for p in self.in_flight}
 
     def snapshot(self) -> Dict[str, Any]:
         """The kernel-owned run state as a JSON-safe dict (packets by
@@ -948,9 +976,13 @@ def build_run_result(
     *and* no abort verdict was issued: a run whose last packets were
     dropped by faults still completed (every packet's fate is known),
     while a step-limit/no-progress/partition abort is structurally
-    incomplete even though the engine returned normally.
+    incomplete even though the engine returned normally.  Each
+    outcome's shortest distance is the problem's cached
+    :attr:`~repro.core.problem.RoutingProblem.distances` entry (packet
+    ids index the problem's requests).
     """
     mesh = problem.mesh
+    distances = problem.distances
     delivered_times = [
         p.delivered_at for p in packets if p.delivered_at is not None
     ]
@@ -963,7 +995,7 @@ def build_run_result(
             packet_id=p.id,
             source=p.source,
             destination=p.destination,
-            shortest_distance=mesh.distance(p.source, p.destination),
+            shortest_distance=distances[p.id],
             delivered_at=p.delivered_at,
             hops=p.hops,
             advances=p.advances,

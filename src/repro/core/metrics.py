@@ -188,22 +188,38 @@ class RunResult:
     abort: Optional["RunAborted"] = None
 
     @property
+    def _summary_telemetry(self) -> Optional["RunTelemetry"]:
+        """The telemetry that stands in for the per-packet outcomes of
+        a summary-level result (every campaign and sweep point: k > 0
+        packets, no outcomes, no step metrics); None for a full
+        result.  Its totals and peaks are the same figures."""
+        if self.outcomes or not self.k:
+            return None
+        return self.telemetry
+
+    @property
     def max_load_seen(self) -> int:
         """Largest per-node packet count observed during the run."""
         if not self.step_metrics:
-            return 0
+            if self.telemetry is None:
+                return 0
+            return self.telemetry.max_node_load
         return max(m.max_node_load for m in self.step_metrics)
 
     @property
     def total_deflections(self) -> int:
-        """Deflections summed over packets.  A summary-level result
-        (no outcomes) reads its telemetry's count, the same figure."""
-        if not self.outcomes and self.telemetry is not None:
-            return self.telemetry.deflections
+        """Deflections summed over packets."""
+        telemetry = self._summary_telemetry
+        if telemetry is not None:
+            return telemetry.deflections
         return sum(o.deflections for o in self.outcomes)
 
     @property
     def total_advances(self) -> int:
+        """Advances (good hops) summed over packets."""
+        telemetry = self._summary_telemetry
+        if telemetry is not None:
+            return telemetry.advances
         return sum(o.advances for o in self.outcomes)
 
     @property
@@ -225,6 +241,9 @@ class RunResult:
     @property
     def total_dropped(self) -> int:
         """Packets removed by fault events during the run."""
+        telemetry = self._summary_telemetry
+        if telemetry is not None:
+            return telemetry.dropped
         return sum(1 for o in self.outcomes if o.dropped_at is not None)
 
     @property
@@ -237,17 +256,21 @@ class RunResult:
         )
 
     def summary(self) -> str:
-        """One-line result summary for tables and logs."""
+        """One-line result summary for tables and logs.  A
+        summary-level result prints no stretch: that needs each
+        packet's hops and distance."""
         if self.completed:
             status = "ok"
         elif self.abort is None or self.abort.reason == "step-limit":
             status = "TIMEOUT"
         else:
             status = self.abort.reason.upper()
-        return (
+        line = (
             f"{self.policy_name} on {self.problem_name}: "
             f"T={self.total_steps} ({status}), k={self.k}, "
             f"delivered={self.delivered}, "
-            f"deflections={self.total_deflections}, "
-            f"stretch={self.average_stretch:.2f}"
+            f"deflections={self.total_deflections}"
         )
+        if self._summary_telemetry is not None:
+            return line
+        return f"{line}, stretch={self.average_stretch:.2f}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.packet import Packet
@@ -96,21 +97,30 @@ class RoutingProblem:
         """Number of packets in the batch (the paper's ``k``)."""
         return len(self.requests)
 
+    @cached_property
+    def distances(self) -> Tuple[int, ...]:
+        """Source-to-destination distance of every request, indexed by
+        packet id.
+
+        Computed once per problem (the problem is immutable) and read
+        by :attr:`d_max`, :attr:`total_distance`, the batch engines'
+        initial distance table and their per-packet outcomes, so a run
+        measures each packet's distance once.
+        """
+        distance = self.mesh.distance
+        return tuple(
+            [distance(r.source, r.destination) for r in self.requests]
+        )
+
     @property
     def d_max(self) -> int:
         """Maximum source-to-destination distance over the batch."""
-        if not self.requests:
-            return 0
-        return max(
-            self.mesh.distance(r.source, r.destination) for r in self.requests
-        )
+        return max(self.distances, default=0)
 
     @property
     def total_distance(self) -> int:
         """Sum of source-to-destination distances (a trivial work lower bound)."""
-        return sum(
-            self.mesh.distance(r.source, r.destination) for r in self.requests
-        )
+        return sum(self.distances)
 
     def is_permutation(self) -> bool:
         """True when every node is the source and the destination of at

@@ -75,14 +75,42 @@ class PacketColumns:
     def pack(
         cls, packets: Iterable[Packet], tables: ArcTables
     ) -> "PacketColumns":
-        """Snapshot live packets into columns (packets unmodified)."""
+        """Snapshot live packets into columns (packets unmodified).
+
+        Builds each column with one comprehension; the rows equal
+        :meth:`append` called packet by packet.
+        """
+        rows = list(packets)
+        node_index = tables.node_index
+        destinations = [packet.destination for packet in rows]
         columns = cls(tables)
-        for packet in packets:
-            columns.append(packet)
+        columns.ids = [packet.id for packet in rows]
+        columns.pos = [node_index[packet.location] for packet in rows]
+        columns.dest = [node_index[node] for node in destinations]
+        columns.dest_coords = [
+            [node[axis] for node in destinations]
+            for axis in range(tables.dimension)
+        ]
+        columns.entry = [
+            -1
+            if packet.entry_direction is None
+            else direction_index(packet.entry_direction)
+            for packet in rows
+        ]
+        columns.restricted_last = [
+            packet.restricted_last_step for packet in rows
+        ]
+        columns.advanced_last = [packet.advanced_last_step for packet in rows]
+        columns.hops = [packet.hops for packet in rows]
+        columns.advances = [packet.advances for packet in rows]
+        columns.deflections = [packet.deflections for packet in rows]
+        columns.by_id = dict(zip(columns.ids, rows))
         return columns
 
     def append(self, packet: Packet) -> None:
-        """Add one packet as the last row."""
+        """Add one packet as the last row: the path of packets
+        injected mid-run, and the row-by-row reference :meth:`pack`
+        must equal."""
         node_index = self.tables.node_index
         self.ids.append(packet.id)
         self.pos.append(node_index[packet.location])

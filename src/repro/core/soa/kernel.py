@@ -47,13 +47,15 @@ the golden-fixture suite.
 
 The kernel's clock and delivery counters stay authoritative on the
 wrapped :class:`StepKernel` (``time``, ``delivered_total``), so engine
-callbacks (``on_deliver`` reading ``engine.time``) and post-run logic
-(timeout handling, result building) work unchanged.
+callbacks (``on_deliver`` sees the packet written back, its
+``delivered_at`` the kernel's clock) and post-run logic (timeout
+handling, result building) work unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.kernel import PhaseSink, StepKernel, StepSummary
 from repro.core.packet import Packet
@@ -823,20 +825,43 @@ class SoaKernel:
             delivered_count = int(delivered_rows.size)
             if delivered_count:
                 # Ascending row order = in_flight order, so delivery
-                # callbacks fire exactly as in the object loop.
-                entry_live = set_entry and not buffered
-                for row in delivered_rows.tolist():
-                    packet = by_id.pop(int(ids[row]))
-                    packet.location = index_node[int(pos[row])]
-                    if entry_live:
-                        packet.entry_direction = directions[
-                            int(entry[row])
-                        ]
-                    packet.restricted_last_step = bool(rl[row])
-                    packet.advanced_last_step = bool(al[row])
-                    packet.hops = int(hops[row])
-                    packet.advances = int(adv[row])
-                    packet.deflections = int(defl[row])
+                # callbacks fire exactly as in the object loop.  Each
+                # column is read once, as a .tolist() slice of the
+                # delivered rows.
+                rows = delivered_rows
+                entries: Iterable[Optional[int]] = (
+                    entry[rows].tolist()
+                    if set_entry and not buffered
+                    else repeat(None)
+                )
+                for (
+                    packet_id,
+                    node_idx,
+                    restricted,
+                    advanced,
+                    hop_count,
+                    advance_count,
+                    deflection_count,
+                    direction,
+                ) in zip(
+                    ids[rows].tolist(),
+                    pos[rows].tolist(),
+                    rl[rows].tolist(),
+                    al[rows].tolist(),
+                    hops[rows].tolist(),
+                    adv[rows].tolist(),
+                    defl[rows].tolist(),
+                    entries,
+                ):
+                    packet = by_id.pop(packet_id)
+                    packet.location = index_node[node_idx]
+                    if direction is not None:
+                        packet.entry_direction = directions[direction]
+                    packet.restricted_last_step = restricted
+                    packet.advanced_last_step = advanced
+                    packet.hops = hop_count
+                    packet.advances = advance_count
+                    packet.deflections = deflection_count
                     packet.delivered_at = now
                     if on_deliver is not None:
                         on_deliver(packet)
@@ -878,19 +903,18 @@ class SoaKernel:
                 packets_in_bad,
             )
 
-        # Restore object-kernel state from the arrays.
-        columns.ids = [int(value) for value in ids.tolist()]
-        columns.pos = [int(value) for value in pos.tolist()]
-        columns.dest = [int(value) for value in dest.tolist()]
-        columns.dest_coords = [
-            [int(value) for value in column.tolist()] for column in dcs
-        ]
-        columns.entry = [int(value) for value in entry.tolist()]
-        columns.restricted_last = [bool(value) for value in rl.tolist()]
-        columns.advanced_last = [bool(value) for value in al.tolist()]
-        columns.hops = [int(value) for value in hops.tolist()]
-        columns.advances = [int(value) for value in adv.tolist()]
-        columns.deflections = [int(value) for value in defl.tolist()]
+        # Restore object-kernel state from the arrays (.tolist() yields
+        # Python ints and bools).
+        columns.ids = ids.tolist()
+        columns.pos = pos.tolist()
+        columns.dest = dest.tolist()
+        columns.dest_coords = [column.tolist() for column in dcs]
+        columns.entry = entry.tolist()
+        columns.restricted_last = rl.tolist()
+        columns.advanced_last = al.tolist()
+        columns.hops = hops.tolist()
+        columns.advances = adv.tolist()
+        columns.deflections = defl.tolist()
         self._writeback(columns)
 
     def _step_buffered_vectorized(

@@ -5,8 +5,7 @@ have in common — RNG/stat bookkeeping, lazy start (policy then source
 preparation, in that order: both draw from the same stream, so the
 order is part of the seeded contract), observer dispatch, and the
 lean-vs-instrumented run decision.  Subclasses are pure configuration:
-they pick the injection source and the kernel's ``buffered`` flag, and
-say what "backlog" means for their discipline.
+they pick the injection source and the kernel's ``buffered`` flag.
 
 Observers get the full lifecycle: ``on_run_start`` before the first
 step, ``on_step`` per step (instrumented loop only — observers that
@@ -51,14 +50,61 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.soa.adapters import PolicyAdapter
 
 
+def _step_recorder(
+    stats: DynamicStats, sinks: List[Callable[[StepSummary], None]]
+) -> Callable[[StepSummary], None]:
+    """The dynamic engines' per-step ``emit``: one
+    :class:`~repro.dynamic.stats.StepSample` per step, then every
+    summary sink.  Like the delivery recorder below it closes over the
+    engine's state, not the engine, so engine and kernel form no
+    reference cycle; ``stats`` and ``sinks`` are updated in place."""
+    record_step = stats.record_step
+
+    def emit(summary: StepSummary) -> None:
+        record_step(
+            StepSample(
+                step=summary.step,
+                generated=summary.generated,
+                injected=summary.injected,
+                in_flight=summary.routed,
+                advancing=summary.advancing,
+                delivered=summary.delivered,
+                backlog=summary.backlog,
+            )
+        )
+        for sink in sinks:
+            sink(summary)
+
+    return emit
+
+
+def _delivery_recorder(
+    stats: DynamicStats, source: InjectionSource, mesh: Mesh
+) -> Callable[[Packet], None]:
+    """The dynamic engines' ``on_deliver``: latency statistics for
+    each absorbed packet (its ``delivered_at`` is the kernel's clock)."""
+    record_delivery = stats.record_delivery
+    distance = mesh.distance
+
+    def on_deliver(packet: Packet) -> None:
+        assert packet.delivered_at is not None
+        record_delivery(
+            generated_at=source.generated_at.pop(packet.id),
+            delivered_at=packet.delivered_at,
+            hops=packet.hops,
+            deflections=packet.deflections,
+            shortest=distance(packet.source, packet.destination),
+        )
+
+    return on_deliver
+
+
 class DynamicEngineBase:
     """Common driver for engines fed by an injection source.
 
-    Subclasses set :attr:`buffered` and implement :meth:`_make_source`;
-    the remaining hooks (:meth:`_observe_summary`,
-    :meth:`_sample_backlog`, :meth:`_final_backlog`) default to the
-    hot-potato meaning and are overridden where the store-and-forward
-    discipline differs.
+    Subclasses set :attr:`buffered` and implement :meth:`_make_source`.
+    Backlog is the source's ``backlog_size()``, identically zero for a
+    source that admits everything (the buffered engine's).
     """
 
     #: Kernel mode: ``False`` routes hot-potato, ``True`` buffers.
@@ -138,6 +184,7 @@ class DynamicEngineBase:
         self._source = self._make_source(traffic)
         self._stats = DynamicStats(warmup=warmup)
         self._summary_sinks: List[Any] = []
+        self._emit = _step_recorder(self._stats, self._summary_sinks)
         self._started = False
         self._resumed = False
         self._kernel = StepKernel(
@@ -147,8 +194,8 @@ class DynamicEngineBase:
             node_order="sorted",
             injection=self._source,
             set_entry_direction=False,
-            emit=self._note,
-            on_deliver=self._on_deliver,
+            emit=self._emit,
+            on_deliver=_delivery_recorder(self._stats, self._source, mesh),
             telemetry=self.telemetry,
             faults=(
                 ActiveFaults(mesh, faults) if faults is not None else None
@@ -162,15 +209,6 @@ class DynamicEngineBase:
 
     def _make_source(self, traffic: TrafficModel) -> InjectionSource:
         raise NotImplementedError
-
-    def _observe_summary(self, summary: StepSummary) -> None:
-        """Subclass bookkeeping before the sample is recorded."""
-
-    def _sample_backlog(self, summary: StepSummary) -> int:
-        return summary.backlog
-
-    def _final_backlog(self) -> int:
-        return self._source.backlog_size()
 
     # ------------------------------------------------------------------
     # Kernel/source state under the engines' historical names
@@ -267,7 +305,7 @@ class DynamicEngineBase:
         self._stats.finalize(
             self.time,
             len(self.in_flight),
-            self._final_backlog(),
+            self._source.backlog_size(),
             abort=self._kernel.abort,
         )
         for observer in self.observers:
@@ -278,7 +316,7 @@ class DynamicEngineBase:
         """One synchronous step: generate, inject, route, absorb."""
         self._start()
         record, summary = self._kernel.step_instrumented()
-        self._note(summary)
+        self._emit(summary)
         metrics = step_metrics_from_summary(summary)
         for observer in self.observers:
             observer.on_step(record, metrics)
@@ -338,36 +376,11 @@ class DynamicEngineBase:
         empty = RoutingProblem(mesh=self.mesh, requests=(), name="dynamic")
         self.policy.prepare(self.mesh, empty, self.rng)
         self._source.prepare(self.mesh, self.rng)
-        self._summary_sinks = [
+        # In place: the kernel's emit closure holds this list.
+        self._summary_sinks[:] = [
             o.on_summary
             for o in self.observers
             if getattr(o, "needs_summaries", False)
         ]
         for observer in self.observers:
             observer.on_run_start(self)
-
-    def _note(self, summary: StepSummary) -> None:
-        self._observe_summary(summary)
-        self._stats.record_step(
-            StepSample(
-                step=summary.step,
-                generated=summary.generated,
-                injected=summary.injected,
-                in_flight=summary.routed,
-                advancing=summary.advancing,
-                delivered=summary.delivered,
-                backlog=self._sample_backlog(summary),
-            )
-        )
-        for sink in self._summary_sinks:
-            sink(summary)
-
-    def _on_deliver(self, packet: Packet) -> None:
-        generated = self._source.generated_at.pop(packet.id)
-        self._stats.record_delivery(
-            generated_at=generated,
-            delivered_at=self.time,
-            hops=packet.hops,
-            deflections=packet.deflections,
-            shortest=self.mesh.distance(packet.source, packet.destination),
-        )

@@ -19,9 +19,6 @@ latency/throughput curves compare directly (benchmark E21).
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.core.kernel import StepSummary
 from repro.dynamic.base import DynamicEngineBase
 from repro.dynamic.injection import TrafficModel
 from repro.dynamic.sources import ImmediateInjection
@@ -39,24 +36,11 @@ class BufferedDynamicEngine(DynamicEngineBase):
 
     buffered = True
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        self._max_queue = 0
-        super().__init__(*args, **kwargs)
-
     def _make_source(self, traffic: TrafficModel) -> ImmediateInjection:
         return ImmediateInjection(traffic)
 
-    def _observe_summary(self, summary: StepSummary) -> None:
-        if summary.max_node_load > self._max_queue:
-            self._max_queue = summary.max_node_load
-
-    def _sample_backlog(self, summary: StepSummary) -> int:
-        return 0
-
-    def _final_backlog(self) -> int:
-        return 0
-
     @property
     def max_queue_seen(self) -> int:
-        """Largest single-node buffer occupancy observed."""
-        return self._max_queue
+        """Largest single-node buffer occupancy observed: the
+        telemetry's peak node load."""
+        return self.telemetry.max_node_load

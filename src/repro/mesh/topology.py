@@ -167,9 +167,16 @@ class Mesh:
         )
 
     def contains(self, node: Node) -> bool:
-        """Return True when ``node`` is a node of this mesh."""
-        return len(node) == self._dimension and all(
-            1 <= x <= self._side for x in node
+        """Return True when ``node`` is a node of this mesh.
+
+        The bounds test is C-level ``min``/``max`` over the
+        coordinates: problem validation calls this twice per request
+        and the arc-table builds once per probed neighbor.
+        """
+        return (
+            len(node) == self._dimension
+            and min(node) >= 1
+            and max(node) <= self._side
         )
 
     def validate_node(self, point: Sequence[int]) -> Node:
@@ -264,9 +271,16 @@ class Mesh:
     def degree(self, node: Node) -> int:
         """Number of (bidirectional) links at ``node``.
 
-        Between ``d`` (corner) and ``2d`` (interior) for the mesh.
+        Between ``d`` (corner) and ``2d`` (interior) for the mesh.  A
+        coordinate equal to ``1`` has no ``-`` arc and one equal to
+        ``n`` no ``+`` arc, so the closed form ``2d - #1s - #ns`` is
+        the arc-table degree without building the table; it holds for
+        mesh nodes (``contains(node)``) only.  The hypercube (``n =
+        2``, every coordinate 1 or 2) gets ``d`` from the same formula.
         """
-        return self.node_arcs(node).degree
+        return (
+            2 * self._dimension - node.count(1) - node.count(self._side)
+        )
 
     def arcs(self) -> Iterator[Arc]:
         """Iterate over every directed arc of the mesh."""

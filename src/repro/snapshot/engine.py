@@ -14,9 +14,9 @@ protocol is deliberately *overwrite after start*:
 3. every captured field is then overwritten with the checkpointed
    value: both RNG streams (the engine stream *and* the policy's
    spawned stream — they are distinct ``random.Random`` instances and
-   both advance during a run), packets, kernel counters, telemetry
-   (in place — kernel and engine share the instance), recorder and
-   watchdog state.
+   both advance during a run), packets, kernel counters, telemetry and
+   dynamic statistics (in place — the kernel's callbacks hold those
+   instances), recorder and watchdog state.
 
 Because step N's outcome is a pure function of the state captured
 here, the resumed engine's remaining steps are bit-identical to the
@@ -45,11 +45,11 @@ from repro.snapshot.state import (
     packet_from_dict,
     packet_to_dict,
     restore_kernel_state,
+    restore_stats,
     restore_telemetry,
     restore_watchdog,
     rng_state_from_json,
     rng_state_to_json,
-    stats_from_dict,
     stats_to_dict,
     watchdog_state,
 )
@@ -192,7 +192,7 @@ def engine_snapshot(engine: Any) -> Dict[str, Any]:
         payload["packets"] = [packet_to_dict(p) for p in engine.packets]
         payload["metrics"] = metrics_to_json(engine._metrics)
         if kind == "buffered":
-            payload["max_buffer_seen"] = engine._max_buffer_seen
+            payload["max_buffer_seen"] = engine.max_buffer_seen
     else:
         payload["packets"] = [
             packet_to_dict(p) for p in engine._kernel.in_flight
@@ -254,11 +254,9 @@ def resume_engine(engine: Any, payload: Dict[str, Any]) -> None:
             )
         engine.packets = packets
         engine._metrics[:] = metrics_from_json(payload["metrics"])
-        if kind == "buffered":
-            engine._max_buffer_seen = int(payload["max_buffer_seen"])
     else:
         engine._source.restore_state(payload["source"])
-        engine._stats = stats_from_dict(payload["stats"])
+        restore_stats(engine._stats, payload["stats"])
 
     restore_kernel_state(engine._kernel, payload["kernel"], by_id)
     restore_telemetry(engine.telemetry, payload["telemetry"])

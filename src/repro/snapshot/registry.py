@@ -129,6 +129,7 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
             "on_checkpoint",
             "_records",
             "_summary_sinks",
+            "_emit",
             "_started",
             "_resumed",
             "_kernel",
@@ -137,7 +138,7 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
     _spec(
         "core.buffered_engine",
         "BufferedEngine",
-        fields=("rng", "packets", "telemetry", "_metrics", "_max_buffer_seen"),
+        fields=("rng", "packets", "telemetry", "_metrics"),
         derived=(
             "backend",
             "_soa_adapter",
@@ -156,6 +157,7 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
             "checkpoint_every",
             "on_checkpoint",
             "_summary_sinks",
+            "_emit",
             "_started",
             "_resumed",
             "_kernel",
@@ -183,6 +185,7 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
             "on_checkpoint",
             "_source",
             "_summary_sinks",
+            "_emit",
             "_started",
             "_resumed",
             "_kernel",

@@ -44,6 +44,7 @@ __all__ = [
     "restore_telemetry",
     "rng_state_from_json",
     "rng_state_to_json",
+    "restore_stats",
     "stats_from_dict",
     "stats_to_dict",
     "watchdog_state",
@@ -321,3 +322,11 @@ def stats_from_dict(payload: Dict[str, Any]) -> DynamicStats:
         else None
     )
     return stats
+
+
+def restore_stats(stats: DynamicStats, payload: Dict[str, Any]) -> None:
+    """In-place restore: the kernel's step and delivery recorders hold
+    the engine's stats object, so the instance must keep its identity."""
+    restored = stats_from_dict(payload)
+    for field in dataclass_fields(stats):
+        setattr(stats, field.name, getattr(restored, field.name))

@@ -1,5 +1,6 @@
 """Campaign orchestration: run, resume, failures-as-data, identity."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,8 @@ from repro.campaign import (
     CaseSpec,
     spec_key,
 )
+from repro.campaign.worker import _run_engine, mesh_for, resolve_workload
+from repro.faults import FaultSchedule, PacketDrop
 
 
 def _specs(seeds, **overrides):
@@ -49,6 +52,31 @@ class TestSerialRun:
         assert point.result.outcomes == []
         assert point.result.records is None
         assert point.result.telemetry is not None
+
+    def test_summary_level_figures_equal_the_full_result(self, tmp_path):
+        # A point carries no outcomes or step metrics; its totals and
+        # peaks read the telemetry and equal the full run's.  The
+        # schedule drops the first packet at its source, so every
+        # figure is nonzero.
+        (spec,) = _specs([4], side=8, workload_params=(("k", 40),))
+        source = resolve_workload(mesh_for(spec), spec).requests[0].source
+        schedule = str(tmp_path / "drops.json")
+        FaultSchedule(events=(PacketDrop(node=source, step=0),)).save(
+            schedule
+        )
+        spec = dataclasses.replace(spec, faults=schedule)
+        with Campaign([spec]) as campaign:
+            point = campaign.run().points[0].result
+        full, _, _ = _run_engine(spec)
+        assert point.outcomes == [] and full.outcomes
+        assert point.total_dropped == full.total_dropped > 0
+        assert point.max_load_seen == full.max_load_seen > 0
+        assert point.total_advances == full.total_advances > 0
+        assert point.total_deflections == full.total_deflections > 0
+        # No per-packet outcomes, so no stretch figure.
+        line = full.summary()
+        assert ", stretch=" in line
+        assert point.summary() == line[: line.index(", stretch=")]
 
     def test_params_carry_the_sweep_labels(self):
         specs = _specs([5], params=(("label", "demo"),))

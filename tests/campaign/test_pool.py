@@ -11,6 +11,8 @@ retry (or the serial fallback) succeeds.
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 from functools import partial
@@ -20,6 +22,10 @@ import pytest
 from repro.campaign import CaseSpec
 from repro.campaign.pool import BACKOFF_CAP, WorkerPool
 from repro.campaign.worker import execute_chunk
+
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 
 
 def _double_chunk(chunk):
@@ -54,6 +60,27 @@ def _hang_once_chunk(sentinel, chunk):
     if _arm(sentinel):
         time.sleep(8.0)
     return execute_chunk(chunk)
+
+
+def _abandon_wedged_pool(sentinel):
+    """Child-process body: a batch whose first chunk hangs, under a
+    pool timeout far shorter than the hang."""
+    pool = WorkerPool(workers=2, timeout=0.5, retries=1, backoff=0)
+    try:
+        points = pool.run_batch(
+            _specs([0, 1, 2]), partial(_hang_once_chunk, sentinel)
+        )
+    finally:
+        pool.close()
+    assert len(points) == 3
+    assert pool.degraded
+
+
+_ABANDON = (
+    "import sys\n"
+    "from tests.campaign.test_pool import _abandon_wedged_pool\n"
+    "_abandon_wedged_pool(sys.argv[1])\n"
+)
 
 
 def _specs(seeds):
@@ -262,6 +289,26 @@ class TestCrashRecovery:
         assert pool.degraded
         # The 8s sleeper must not be waited out.
         assert elapsed < 6
+
+    def test_abandoned_pool_lets_the_process_exit(self, tmp_path):
+        # Interpreter exit joins every pool worker, so the abandoned
+        # pool's hung worker must have been terminated: otherwise the
+        # child lives until the 8s sleeper returns.  A fresh
+        # interpreter, so its pool forks as the platform default does.
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ABANDON, str(tmp_path / "slept")],
+            cwd=REPO_ROOT,
+            env=dict(os.environ),
+        )
+        try:
+            status = child.wait(timeout=6)
+        except subprocess.TimeoutExpired:
+            status = None
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert status == 0
 
     def test_deterministic_chunk_exception_propagates(self):
         with WorkerPool(workers=2, retries=3, backoff=0) as pool:

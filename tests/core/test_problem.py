@@ -4,6 +4,10 @@ import pytest
 
 from repro.core.problem import Request, RoutingProblem
 from repro.exceptions import InvalidProblemError
+from repro.mesh.hypercube import Hypercube
+from repro.mesh.topology import Mesh
+from repro.mesh.torus import Torus
+from repro.workloads import random_many_to_many
 
 
 class TestValidation:
@@ -111,3 +115,42 @@ class TestProperties:
         problem = RoutingProblem.from_pairs(mesh4, [((1, 1), (2, 2))])
         with pytest.raises(AttributeError):
             problem.requests = ()
+
+
+class TestDistances:
+    """``distances`` is one cached pass of ``mesh.distance``, indexed by
+    packet id, on every mesh family (wraparound included)."""
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [Mesh(2, 6), Torus(2, 5), Torus(2, 6), Hypercube(4)],
+        ids=repr,
+    )
+    def test_one_entry_per_request(self, mesh):
+        problem = random_many_to_many(mesh, k=40, seed=3)
+        assert problem.distances == tuple(
+            mesh.distance(r.source, r.destination) for r in problem.requests
+        )
+        assert problem.d_max == max(problem.distances)
+        assert problem.total_distance == sum(problem.distances)
+
+    def test_entries_follow_packet_ids(self, mesh4):
+        problem = RoutingProblem.from_pairs(
+            mesh4, [((1, 1), (4, 4)), ((2, 2), (2, 3)), ((3, 3), (3, 3))]
+        )
+        assert problem.distances == (6, 1, 0)
+        for packet in problem.make_packets():
+            assert problem.distances[packet.id] == mesh4.distance(
+                packet.source, packet.destination
+            )
+
+    def test_computed_once(self, mesh4):
+        problem = RoutingProblem.from_pairs(mesh4, [((1, 1), (2, 2))])
+        assert problem.distances is problem.distances
+
+    def test_not_part_of_equality(self, mesh4):
+        pairs = [((1, 1), (2, 2))]
+        warm = RoutingProblem.from_pairs(mesh4, pairs)
+        warm.distances
+        assert warm == RoutingProblem.from_pairs(mesh4, pairs)
+        assert hash(warm) == hash(RoutingProblem.from_pairs(mesh4, pairs))

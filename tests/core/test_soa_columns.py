@@ -15,6 +15,7 @@ from repro.algorithms import (
 )
 from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
+from repro.core.packet import Packet
 from repro.core.soa import SoaKernel, _compat, adapter_for
 from repro.core.soa.columns import PacketColumns
 from repro.core.validation import validators_for
@@ -22,7 +23,7 @@ from repro.dynamic import BernoulliTraffic, DynamicEngine
 from repro.faults import FaultSchedule, PacketDrop, RunWatchdog
 from repro.mesh.tables import arc_tables_for
 from repro.mesh.topology import Mesh
-from repro.workloads import random_permutation
+from repro.workloads import random_many_to_many, random_permutation
 
 
 def _problem(seed=3):
@@ -67,6 +68,36 @@ class TestPackUnpackRoundTrip:
         assert packets, "workload must leave packets in flight"
         assert any(p.entry_direction is not None for p in packets)
         return packets
+
+    def test_pack_equals_row_by_row_append(self):
+        # A dense batch, so some packets have been deflected, plus one
+        # packet that has not moved yet (no entry direction).
+        policy = RestrictedPriorityPolicy()
+        problem = random_many_to_many(Mesh(2, 5), k=60, seed=3)
+        engine = HotPotatoEngine(
+            problem,
+            policy,
+            seed=11,
+            validators=validators_for(policy, strict=False),
+            max_steps=4,
+        )
+        engine.run()
+        packets = list(engine.in_flight) + [
+            Packet(id=problem.k, source=(1, 1), destination=(5, 5))
+        ]
+        assert any(p.entry_direction is None for p in packets)
+        assert any(p.entry_direction is not None for p in packets)
+        assert any(p.restricted_last_step for p in packets)
+        assert any(p.advanced_last_step for p in packets)
+        assert any(p.deflections for p in packets)
+        tables = arc_tables_for(Mesh(2, 5))
+        packed = PacketColumns.pack(iter(packets), tables)
+        appended = PacketColumns(tables)
+        for packet in packets:
+            appended.append(packet)
+        for name in PacketColumns.__slots__:
+            assert getattr(packed, name) == getattr(appended, name), name
+        assert list(packed.by_id.values()) == packets
 
     def test_pack_does_not_mutate_packets(self):
         packets = self._mid_run_packets()

@@ -40,6 +40,32 @@ class TestBasics:
         engine.run(300)
         assert engine.max_queue_seen > 2 * mesh8.dimension
 
+    def test_max_queue_survives_a_resume(self):
+        # Seed 2 peaks (6 packets at one node) before the step-30
+        # checkpoint and never again: the resumed run must still
+        # report that peak, which the restored telemetry carries.
+        def engine():
+            return BufferedDynamicEngine(
+                Mesh(2, 6),
+                DimensionOrderPolicy(),
+                BernoulliTraffic(0.3),
+                seed=2,
+                backend="object",
+            )
+
+        reference = engine()
+        reference.run(40)
+        snapshots = []
+        checkpointed = engine()
+        checkpointed.checkpoint_every = 30
+        checkpointed.on_checkpoint = snapshots.append
+        checkpointed.run(40)
+        resumed = engine()
+        resumed.resume_from(snapshots[0])
+        resumed.run(40 - snapshots[0]["step"])
+        assert reference.max_queue_seen == 6
+        assert resumed.max_queue_seen == reference.max_queue_seen
+
     def test_low_load_latency_is_distance(self, mesh8):
         engine = BufferedDynamicEngine(
             mesh8,

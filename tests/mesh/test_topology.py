@@ -1,11 +1,23 @@
 """Unit tests for the d-dimensional mesh (Definitions 1 and 5)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.directions import Direction
+from repro.mesh.hypercube import Hypercube
 from repro.mesh.topology import Mesh
+from repro.mesh.torus import Torus
+
+#: Every small shape of every family: the closed forms must match the
+#: arc tables node for node on each.
+_SHAPES = (
+    [Mesh(d, n) for d in (1, 2, 3) for n in range(2, 7)]
+    + [Torus(d, n) for d in (1, 2, 3) for n in range(3, 7)]
+    + [Hypercube(d) for d in range(1, 7)]
+)
 
 
 class TestShape:
@@ -97,6 +109,27 @@ class TestAdjacency:
         assert mesh.contains((3, 3))
         assert not mesh.contains((3, 4))
         assert not mesh.contains((1, 2, 3))
+
+
+class TestClosedForms:
+    """``degree`` and ``contains`` answer without building arc tables;
+    the tables, built through ``neighbor``, are the reference."""
+
+    @pytest.mark.parametrize("mesh", _SHAPES, ids=repr)
+    def test_degree_is_the_arc_table_degree(self, mesh):
+        for node in mesh.nodes():
+            expected = len(mesh.node_arcs(node).out_directions)
+            assert mesh.degree(node) == expected, node
+
+    @pytest.mark.parametrize("mesh", _SHAPES, ids=repr)
+    def test_contains_is_the_box_test(self, mesh):
+        d, n = mesh.dimension, mesh.side
+        for length in (d - 1, d, d + 1):
+            if length == 0:
+                continue
+            for point in itertools.product(range(-1, n + 3), repeat=length):
+                expected = length == d and all(1 <= x <= n for x in point)
+                assert mesh.contains(point) == expected, point
 
 
 class TestGoodDirections:
