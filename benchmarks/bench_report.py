@@ -177,10 +177,9 @@ def _run_dynamic_once(buffered: bool) -> tuple:
             backend="object",
         )
     start = time.perf_counter()
-    stats = engine.run(DYNAMIC_STEPS)
+    engine.run(DYNAMIC_STEPS)
     elapsed = time.perf_counter() - start
-    packet_steps = sum(s.in_flight for s in stats.samples)
-    return elapsed, packet_steps
+    return elapsed, engine.telemetry.packet_steps
 
 
 def _best_rate(run_once, repeats: int) -> float:

@@ -111,8 +111,8 @@ class StepSummary:
     """Everything one kernel step produced, engine-agnostically.
 
     The batch engines convert summaries to
-    :class:`~repro.core.metrics.StepMetrics`; the dynamic engines
-    convert them to :class:`~repro.dynamic.stats.StepSample`.  ``moved``
+    :class:`~repro.core.metrics.StepMetrics`; the dynamic engines fold
+    them into :class:`~repro.dynamic.stats.DynamicStats`.  ``moved``
     equals ``routed`` under hot-potato semantics and may be smaller
     under buffered semantics (unassigned packets wait).
     """

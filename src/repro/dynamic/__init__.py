@@ -17,18 +17,16 @@ from repro.dynamic.injection import (
     TrafficModel,
 )
 from repro.dynamic.sources import CapacityLimitedInjection, ImmediateInjection
-from repro.dynamic.stats import DeliveryRecord, DynamicStats, StepSample
+from repro.dynamic.stats import DynamicStats
 
 __all__ = [
     "BernoulliTraffic",
     "BufferedDynamicEngine",
     "CapacityLimitedInjection",
-    "DeliveryRecord",
     "DynamicEngine",
     "DynamicStats",
     "HotSpotTraffic",
     "ImmediateInjection",
     "ScriptedTraffic",
-    "StepSample",
     "TrafficModel",
 ]

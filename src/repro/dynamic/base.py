@@ -42,7 +42,7 @@ from repro.core.rng import RngLike, describe_seed, make_rng
 from repro.faults import ActiveFaults, FaultSchedule, RunWatchdog
 from repro.obs.telemetry import RunTelemetry
 from repro.dynamic.injection import TrafficModel
-from repro.dynamic.stats import DynamicStats, StepSample
+from repro.dynamic.stats import DynamicStats
 from repro.mesh.topology import Mesh
 from repro.types import PacketId
 
@@ -53,24 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 def _step_recorder(
     stats: DynamicStats, sinks: List[Callable[[StepSummary], None]]
 ) -> Callable[[StepSummary], None]:
-    """The dynamic engines' per-step ``emit``: one
-    :class:`~repro.dynamic.stats.StepSample` per step, then every
-    summary sink.  Like the delivery recorder below it closes over the
-    engine's state, not the engine, so engine and kernel form no
-    reference cycle; ``stats`` and ``sinks`` are updated in place."""
+    """The dynamic engines' per-step ``emit``: fold the step into the
+    running aggregates of ``stats``, then call every summary sink.
+    Like the delivery recorder below it closes over the engine's
+    state, not the engine, so engine and kernel form no reference
+    cycle; ``stats`` and ``sinks`` are updated in place."""
     record_step = stats.record_step
 
     def emit(summary: StepSummary) -> None:
         record_step(
-            StepSample(
-                step=summary.step,
-                generated=summary.generated,
-                injected=summary.injected,
-                in_flight=summary.routed,
-                advancing=summary.advancing,
-                delivered=summary.delivered,
-                backlog=summary.backlog,
-            )
+            summary.step, summary.generated, summary.routed, summary.backlog
         )
         for sink in sinks:
             sink(summary)
@@ -81,19 +73,20 @@ def _step_recorder(
 def _delivery_recorder(
     stats: DynamicStats, source: InjectionSource, mesh: Mesh
 ) -> Callable[[Packet], None]:
-    """The dynamic engines' ``on_deliver``: latency statistics for
-    each absorbed packet (its ``delivered_at`` is the kernel's clock)."""
+    """The dynamic engines' ``on_deliver``: fold each absorbed packet
+    into the latency statistics (its ``delivered_at`` is the kernel's
+    clock) and forget its generation time."""
     record_delivery = stats.record_delivery
     distance = mesh.distance
 
     def on_deliver(packet: Packet) -> None:
         assert packet.delivered_at is not None
         record_delivery(
-            generated_at=source.generated_at.pop(packet.id),
-            delivered_at=packet.delivered_at,
-            hops=packet.hops,
-            deflections=packet.deflections,
-            shortest=distance(packet.source, packet.destination),
+            source.generated_at.pop(packet.id),
+            packet.delivered_at,
+            packet.hops,
+            packet.deflections,
+            distance(packet.source, packet.destination),
         )
 
     return on_deliver

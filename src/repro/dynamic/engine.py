@@ -53,7 +53,8 @@ class DynamicEngine(DynamicEngineBase):
 
     Call :meth:`run` with a horizon; the returned
     :class:`~repro.dynamic.stats.DynamicStats` carries latency,
-    throughput, deflection-rate, and backlog series.
+    throughput, deflection-rate and backlog summaries (attach a
+    :class:`~repro.obs.series.SeriesRecorder` for per-step series).
     """
 
     buffered = False

@@ -17,10 +17,11 @@ Both own the demand process, the packet-id counter and the
 generation-time table, so engines can delegate those wholesale.
 
 Determinism contract: generation visits ``mesh.nodes()`` in mesh
-order, and capacity-limited injection drains ``backlog.items()`` in
-*insertion* order (nodes enter the dict on their first generation and
-keep that position), which fixes packet ids and hence every downstream
-RNG-sensitive decision.  Do not "clean up" either iteration order.
+order (a list cached at :meth:`prepare`), and capacity-limited
+injection drains ``backlog.items()`` in *insertion* order (nodes enter
+the dict on their first generation and keep that position), which
+fixes packet ids and hence every downstream RNG-sensitive decision.
+Do not "clean up" either iteration order.
 """
 
 from __future__ import annotations
@@ -47,9 +48,13 @@ class CapacityLimitedInjection(InjectionSource):
         self.next_id: PacketId = 0
         self.generated_at: Dict[PacketId, int] = {}
         self._mesh: Optional[Mesh] = None
+        self._nodes: List[Node] = []
+        #: Running total of ``backlog``'s queue lengths.
+        self._pending = 0
 
     def prepare(self, mesh: Mesh, rng: random.Random) -> None:
         self._mesh = mesh
+        self._nodes = list(mesh.nodes())
         self.traffic.prepare(mesh, rng)
 
     def admit(self, time: int, in_flight: List[Packet]) -> Tuple[int, int]:
@@ -74,16 +79,21 @@ class CapacityLimitedInjection(InjectionSource):
         """
         mesh = self._mesh
         assert mesh is not None, "prepare() must run before admit()"
+        backlog = self.backlog
+        arrivals = self.traffic.arrivals
         generated = 0
-        for node in mesh.nodes():
-            for destination in self.traffic.arrivals(node, time):
+        for node in self._nodes:
+            for destination in arrivals(node, time):
                 if destination == node:
                     continue  # zero-distance demand is a no-op
-                self.backlog[node].append((time, destination))
+                backlog[node].append((time, destination))
                 generated += 1
         injected: List[Packet] = []
-        for node, queue in self.backlog.items():
-            free = mesh.degree(node) - loads.get(node, 0)
+        degree = mesh.degree
+        for node, queue in backlog.items():
+            if not queue:
+                continue
+            free = degree(node) - loads.get(node, 0)
             count = 0
             while queue and free > 0:
                 generated_at, destination = queue.popleft()
@@ -97,10 +107,11 @@ class CapacityLimitedInjection(InjectionSource):
                 free -= 1
             if count:
                 loads[node] = loads.get(node, 0) + count
+        self._pending += generated - len(injected)
         return generated, injected
 
     def backlog_size(self) -> int:
-        return sum(len(queue) for queue in self.backlog.values())
+        return self._pending
 
     def snapshot_state(self) -> Dict[str, Any]:
         """JSON-safe source state (see :mod:`repro.snapshot`).
@@ -145,6 +156,7 @@ class CapacityLimitedInjection(InjectionSource):
                 (int(step), tuple(int(c) for c in destination))
                 for step, destination in queue_data
             )
+        self._pending = sum(len(queue) for queue in self.backlog.values())
 
 
 class ImmediateInjection(InjectionSource):
@@ -154,10 +166,10 @@ class ImmediateInjection(InjectionSource):
         self.traffic = traffic
         self.next_id: PacketId = 0
         self.generated_at: Dict[PacketId, int] = {}
-        self._mesh: Optional[Mesh] = None
+        self._nodes: Optional[List[Node]] = None
 
     def prepare(self, mesh: Mesh, rng: random.Random) -> None:
-        self._mesh = mesh
+        self._nodes = list(mesh.nodes())
         self.traffic.prepare(mesh, rng)
 
     def admit(self, time: int, in_flight: List[Packet]) -> Tuple[int, int]:
@@ -170,11 +182,12 @@ class ImmediateInjection(InjectionSource):
     ) -> Tuple[int, List[Packet]]:
         """Batch twin of :meth:`admit`; ``loads`` is ignored (buffers
         absorb everything)."""
-        mesh = self._mesh
-        assert mesh is not None, "prepare() must run before admit()"
+        nodes = self._nodes
+        assert nodes is not None, "prepare() must run before admit()"
+        arrivals = self.traffic.arrivals
         injected: List[Packet] = []
-        for node in mesh.nodes():
-            for destination in self.traffic.arrivals(node, time):
+        for node in nodes:
+            for destination in arrivals(node, time):
                 if destination == node:
                     continue
                 packet = Packet(

@@ -1,56 +1,64 @@
 """Steady-state statistics for dynamic runs.
 
-Collects per-step samples and per-delivery records, with a warm-up
-cutoff: deliveries of packets *generated* before the warm-up step are
-routed but excluded from the statistics, the standard discipline for
-measuring stationary behavior.
+Keeps exact sufficient statistics instead of per-step and per-delivery
+rows, so a run's memory and checkpoints do not grow with its horizon.
+A warm-up cutoff applies: deliveries of packets *generated* before the
+warm-up step are routed but excluded from the statistics, and so are
+the steps before it, the standard discipline for measuring stationary
+behavior.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.report import RunAborted
 
-
-@dataclass(frozen=True)
-class StepSample:
-    """Aggregate counters of one dynamic step."""
-
-    step: int
-    generated: int
-    injected: int
-    in_flight: int
-    advancing: int
-    delivered: int
-    backlog: int
+#: Steps of generation :meth:`DynamicStats.is_stable` averages over.
+RECENT_STEPS = 20
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One delivered packet's life, for latency accounting."""
-
-    generated_at: int
-    delivered_at: int
-    hops: int
-    deflections: int
-    shortest: int
-
-    @property
-    def latency(self) -> int:
-        """Generation-to-delivery time (includes source queueing)."""
-        return self.delivered_at - self.generated_at
+def _recent_window() -> Deque[int]:
+    return deque(maxlen=RECENT_STEPS)
 
 
 @dataclass
 class DynamicStats:
-    """Everything measured during a dynamic run."""
+    """Everything measured during a dynamic run, as running aggregates.
+
+    Every summary is a function of these fields, each updated in place
+    per step (:meth:`record_step`) and per delivery
+    (:meth:`record_delivery`):
+
+    * ``delivered_count`` and ``latency_counts`` (latency -> count),
+      from which :meth:`latency_percentile` is exact;
+    * ``latency_sum``, ``hop_sum`` and ``deflection_sum``;
+    * ``stretch_sum`` over ``stretch_count`` deliveries with a nonzero
+      shortest distance, a plain running float sum in delivery order;
+    * ``in_flight_sum`` over ``in_flight_samples`` post-warm-up steps,
+      and ``max_backlog``, the post-warm-up peak source backlog;
+    * ``recent_generated``, the last :data:`RECENT_STEPS` steps'
+      generated counts, for :meth:`is_stable`.
+
+    What can still grow is ``latency_counts``: one entry per distinct
+    latency.
+    """
 
     warmup: int = 0
-    samples: List[StepSample] = field(default_factory=list)
-    deliveries: List[DeliveryRecord] = field(default_factory=list)
+    delivered_count: int = 0
+    latency_counts: Dict[int, int] = field(default_factory=dict)
+    latency_sum: int = 0
+    hop_sum: int = 0
+    deflection_sum: int = 0
+    stretch_sum: float = 0.0
+    stretch_count: int = 0
+    in_flight_sum: int = 0
+    in_flight_samples: int = 0
+    max_backlog: int = 0
+    recent_generated: Deque[int] = field(default_factory=_recent_window)
     horizon: int = 0
     final_in_flight: int = 0
     final_backlog: int = 0
@@ -62,8 +70,18 @@ class DynamicStats:
     # Collection (called by the engine)
     # ------------------------------------------------------------------
 
-    def record_step(self, sample: StepSample) -> None:
-        self.samples.append(sample)
+    def record_step(
+        self, step: int, generated: int, in_flight: int, backlog: int
+    ) -> None:
+        """Fold one step's counters in (``in_flight`` is the routed
+        population, ``backlog`` the source backlog after injection)."""
+        self.recent_generated.append(generated)
+        if step < self.warmup:
+            return
+        self.in_flight_sum += in_flight
+        self.in_flight_samples += 1
+        if backlog > self.max_backlog:
+            self.max_backlog = backlog
 
     def record_delivery(
         self,
@@ -73,17 +91,20 @@ class DynamicStats:
         deflections: int,
         shortest: int,
     ) -> None:
+        """Fold one delivered packet's life in (skipped when it was
+        generated before the warm-up step)."""
         if generated_at < self.warmup:
             return
-        self.deliveries.append(
-            DeliveryRecord(
-                generated_at=generated_at,
-                delivered_at=delivered_at,
-                hops=hops,
-                deflections=deflections,
-                shortest=shortest,
-            )
-        )
+        latency = delivered_at - generated_at
+        self.delivered_count += 1
+        counts = self.latency_counts
+        counts[latency] = counts.get(latency, 0) + 1
+        self.latency_sum += latency
+        self.hop_sum += hops
+        self.deflection_sum += deflections
+        if shortest > 0:
+            self.stretch_sum += hops / shortest
+            self.stretch_count += 1
 
     def finalize(
         self,
@@ -102,68 +123,60 @@ class DynamicStats:
     # ------------------------------------------------------------------
 
     @property
-    def delivered_count(self) -> int:
-        return len(self.deliveries)
-
-    @property
     def mean_latency(self) -> float:
         """Mean generation-to-delivery latency over counted deliveries."""
-        if not self.deliveries:
+        if not self.delivered_count:
             return 0.0
-        return sum(d.latency for d in self.deliveries) / len(self.deliveries)
+        return self.latency_sum / self.delivered_count
 
     def latency_percentile(self, q: float) -> float:
-        """Latency percentile ``q`` in [0, 100] over counted deliveries."""
+        """Latency percentile ``q`` in [0, 100] over counted deliveries:
+        the latency at index ``round(q / 100 * (count - 1))`` of the
+        sorted latencies, read off the histogram."""
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self.deliveries:
+        count = self.delivered_count
+        if not count:
             return 0.0
-        ordered = sorted(d.latency for d in self.deliveries)
-        index = min(
-            len(ordered) - 1, max(0, round(q / 100 * (len(ordered) - 1)))
-        )
-        return float(ordered[index])
+        index = min(count - 1, max(0, round(q / 100 * (count - 1))))
+        seen = 0
+        for latency in sorted(self.latency_counts):
+            seen += self.latency_counts[latency]
+            if seen > index:
+                return float(latency)
+        raise AssertionError("latency histogram disagrees with its count")
 
     @property
     def mean_stretch(self) -> float:
         """Mean hops / shortest-distance over counted deliveries."""
-        usable = [d for d in self.deliveries if d.shortest > 0]
-        if not usable:
+        if not self.stretch_count:
             return 1.0
-        return sum(d.hops / d.shortest for d in usable) / len(usable)
+        return self.stretch_sum / self.stretch_count
 
     @property
     def deflection_rate(self) -> float:
         """Fraction of hops that were deflections, over deliveries."""
-        hops = sum(d.hops for d in self.deliveries)
-        if hops == 0:
+        if self.hop_sum == 0:
             return 0.0
-        return sum(d.deflections for d in self.deliveries) / hops
+        return self.deflection_sum / self.hop_sum
 
     @property
     def throughput(self) -> float:
         """Counted deliveries per post-warm-up step."""
         effective = max(1, self.horizon - self.warmup)
-        return len(self.deliveries) / effective
+        return self.delivered_count / effective
 
     @property
     def mean_in_flight(self) -> float:
         """Average network population after warm-up."""
-        post = [s.in_flight for s in self.samples if s.step >= self.warmup]
-        if not post:
+        if not self.in_flight_samples:
             return 0.0
-        return sum(post) / len(post)
-
-    @property
-    def max_backlog(self) -> int:
-        """Largest total source-queue backlog seen after warm-up."""
-        post = [s.backlog for s in self.samples if s.step >= self.warmup]
-        return max(post) if post else 0
+        return self.in_flight_sum / self.in_flight_samples
 
     def is_stable(self) -> bool:
         """Heuristic saturation check: the backlog at the end of the
         run is no larger than a few steps' worth of generation."""
-        recent = [s.generated for s in self.samples[-20:]]
+        recent = self.recent_generated
         per_step = sum(recent) / len(recent) if recent else 0.0
         return self.final_backlog <= max(5.0, 5 * per_step)
 

@@ -7,8 +7,9 @@ kernel asks:
 * *What does the topology look like right now?* — served through
   masked :class:`~repro.mesh.topology.NodeArcs` tables and good-
   direction tuples that simply omit down links and failed nodes.  The
-  :class:`FaultView` mesh wrapper exposes those masked answers behind
-  the ordinary :class:`~repro.mesh.topology.Mesh` query interface, so
+  :class:`FaultView` mesh wrapper exposes those masked answers (kept
+  by a :class:`FaultMask`) behind the ordinary
+  :class:`~repro.mesh.topology.Mesh` query interface, so
   :class:`~repro.core.node_view.NodeView` and every policy route around
   failures without knowing faults exist.
 * *Which packets are lost this step?* — :meth:`ActiveFaults.select_drops`
@@ -38,7 +39,103 @@ from repro.mesh.directions import Direction
 from repro.mesh.topology import Mesh, NodeArcs
 from repro.types import Node, PacketId
 
-__all__ = ["ActiveFaults", "FaultView"]
+__all__ = ["ActiveFaults", "FaultMask", "FaultView"]
+
+
+class FaultMask:
+    """The current regime's masked topology and its caches.
+
+    Holds the down node and arc sets plus the masked tables built from
+    them; :class:`ActiveFaults` installs new sets at regime changes.
+    It holds no reference back to its :class:`ActiveFaults`, so the
+    :class:`FaultView` that reads it closes no reference cycle and a
+    finished faulted run is freed by reference counting alone.
+    """
+
+    __slots__ = ("mesh", "down_nodes", "down_arcs", "arc_cache", "good_cache")
+
+    def __init__(self, mesh: Mesh) -> None:
+        self.mesh = mesh
+        self.down_nodes: Set[Node] = set()
+        self.down_arcs: Set[Tuple[Node, Node]] = set()
+        self.arc_cache: Dict[Node, NodeArcs] = {}
+        self.good_cache: Dict[Tuple[Node, Node], Tuple[Direction, ...]] = {}
+
+    def update(
+        self, down_nodes: Set[Node], down_arcs: Set[Tuple[Node, Node]]
+    ) -> bool:
+        """Install a regime's down sets and drop the cached tables;
+        returns False, keeping the caches, when the sets are unchanged."""
+        if down_nodes == self.down_nodes and down_arcs == self.down_arcs:
+            return False
+        self.down_nodes = down_nodes
+        self.down_arcs = down_arcs
+        self.arc_cache.clear()
+        self.good_cache.clear()
+        return True
+
+    @property
+    def anything_down(self) -> bool:
+        return bool(self.down_nodes or self.down_arcs)
+
+    def arc_is_live(self, tail: Node, head: Node) -> bool:
+        return (
+            tail not in self.down_nodes
+            and head not in self.down_nodes
+            and (tail, head) not in self.down_arcs
+        )
+
+    def node_arcs(self, node: Node) -> NodeArcs:
+        """The node's arc table with down links and nodes removed.
+
+        A failed node has an empty table (degree 0); its neighbors'
+        tables omit the direction pointing at it.
+        """
+        arcs = self.arc_cache.get(node)
+        if arcs is None:
+            base = self.mesh.node_arcs(node)
+            if not self.anything_down:
+                arcs = base
+            else:
+                neighbors = tuple(
+                    other
+                    if other is not None and self.arc_is_live(node, other)
+                    else None
+                    for other in base.neighbors
+                )
+                out = tuple(
+                    direction
+                    for direction, other in zip(
+                        self.mesh.directions, neighbors
+                    )
+                    if other is not None
+                )
+                by_direction = {
+                    direction: other
+                    for direction, other in zip(
+                        self.mesh.directions, neighbors
+                    )
+                    if other is not None
+                }
+                arcs = NodeArcs(out, neighbors, by_direction)
+            self.arc_cache[node] = arcs
+        return arcs
+
+    def good_directions_tuple(
+        self, node: Node, destination: Node
+    ) -> Tuple[Direction, ...]:
+        """Good directions (Definition 5) restricted to live arcs."""
+        key = (node, destination)
+        cached = self.good_cache.get(key)
+        if cached is None:
+            base = self.mesh.good_directions_tuple(node, destination)
+            if not self.anything_down:
+                cached = base
+            else:
+                live = self.node_arcs(node).by_direction
+                cached = tuple(d for d in base if d in live)
+            self.good_cache[key] = cached
+        return cached
 
 
 class FaultView:
@@ -51,73 +148,73 @@ class FaultView:
     ``NodeView.mesh`` during faulted runs.
     """
 
-    __slots__ = ("_active", "_mesh")
+    __slots__ = ("_mask", "_mesh")
 
-    def __init__(self, active: "ActiveFaults") -> None:
-        self._active = active
-        self._mesh = active.mesh
+    def __init__(self, mask: FaultMask) -> None:
+        self._mask = mask
+        self._mesh = mask.mesh
 
     # Masked adjacency -------------------------------------------------
 
     def node_arcs(self, node: Node) -> NodeArcs:
-        return self._active.node_arcs(node)
+        return self._mask.node_arcs(node)
 
     def neighbor(self, node: Node, direction: Direction) -> Optional[Node]:
-        return self._active.node_arcs(node).by_direction.get(direction)
+        return self._mask.node_arcs(node).by_direction.get(direction)
 
     def neighbors(self, node: Node) -> List[Node]:
         return [
             other
-            for other in self._active.node_arcs(node).neighbors
+            for other in self._mask.node_arcs(node).neighbors
             if other is not None
         ]
 
     def out_directions(self, node: Node) -> List[Direction]:
-        return list(self._active.node_arcs(node).out_directions)
+        return list(self._mask.node_arcs(node).out_directions)
 
     def out_arcs(self, node: Node) -> List[Tuple[Node, Node]]:
-        arcs = self._active.node_arcs(node)
+        arcs = self._mask.node_arcs(node)
         return [(node, arcs.by_direction[d]) for d in arcs.out_directions]
 
     def in_arcs(self, node: Node) -> List[Tuple[Node, Node]]:
         return [(head, tail) for (tail, head) in self.out_arcs(node)]
 
     def degree(self, node: Node) -> int:
-        return self._active.node_arcs(node).degree
+        return self._mask.node_arcs(node).degree
 
     # Masked packet-centric queries ------------------------------------
 
     def good_directions_tuple(
         self, node: Node, destination: Node
     ) -> Tuple[Direction, ...]:
-        return self._active.good_directions_tuple(node, destination)
+        return self._mask.good_directions_tuple(node, destination)
 
     def good_directions(
         self, node: Node, destination: Node
     ) -> List[Direction]:
-        return list(self._active.good_directions_tuple(node, destination))
+        return list(self._mask.good_directions_tuple(node, destination))
 
     def bad_directions(
         self, node: Node, destination: Node
     ) -> List[Direction]:
-        good = set(self._active.good_directions_tuple(node, destination))
+        good = set(self._mask.good_directions_tuple(node, destination))
         return [d for d in self._mesh.directions if d not in good]
 
     def good_arcs(
         self, node: Node, destination: Node
     ) -> List[Tuple[Node, Node]]:
-        by_direction = self._active.node_arcs(node).by_direction
+        by_direction = self._mask.node_arcs(node).by_direction
         return [
             (node, by_direction[direction])
             for direction in self.good_directions(node, destination)
         ]
 
     def num_good_directions(self, node: Node, destination: Node) -> int:
-        return len(self._active.good_directions_tuple(node, destination))
+        return len(self._mask.good_directions_tuple(node, destination))
 
     def is_restricted(self, node: Node, destination: Node) -> bool:
         return (
-            len(self._active.good_directions_tuple(node, destination)) == 1
+            len(self._mask.good_directions_tuple(node, destination)) == 1
         )
 
     # Everything else is the real mesh ---------------------------------
@@ -142,7 +239,8 @@ class ActiveFaults:
         schedule.check(mesh)
         self.mesh = mesh
         self.schedule = schedule
-        self.view = FaultView(self)
+        self._mask = FaultMask(mesh)
+        self.view = FaultView(self._mask)
         #: Ids of packets dropped so far, in drop order.
         self.dropped_ids: List[PacketId] = []
 
@@ -164,10 +262,6 @@ class ActiveFaults:
         self._boundaries = sorted(boundaries)
 
         self._step: Optional[int] = None
-        self._down_nodes: Set[Node] = set()
-        self._down_arcs: Set[Tuple[Node, Node]] = set()
-        self._arc_cache: Dict[Node, NodeArcs] = {}
-        self._good_cache: Dict[Tuple[Node, Node], Tuple[Direction, ...]] = {}
         self._components: Optional[Dict[Node, int]] = None
 
     # ------------------------------------------------------------------
@@ -200,84 +294,34 @@ class ActiveFaults:
             if link.active_at(step):
                 down_arcs.add((link.a, link.b))
                 down_arcs.add((link.b, link.a))
-        if down_nodes == self._down_nodes and down_arcs == self._down_arcs:
-            return
-        self._down_nodes = down_nodes
-        self._down_arcs = down_arcs
-        self._arc_cache.clear()
-        self._good_cache.clear()
-        self._components = None
+        if self._mask.update(down_nodes, down_arcs):
+            self._components = None
 
     @property
     def anything_down(self) -> bool:
         """True when the current mask hides at least one arc or node."""
-        return bool(self._down_nodes or self._down_arcs)
+        return self._mask.anything_down
 
     def is_node_down(self, node: Node) -> bool:
-        return node in self._down_nodes
+        return node in self._mask.down_nodes
 
     def arc_is_live(self, tail: Node, head: Node) -> bool:
-        return (
-            tail not in self._down_nodes
-            and head not in self._down_nodes
-            and (tail, head) not in self._down_arcs
-        )
+        return self._mask.arc_is_live(tail, head)
 
     # ------------------------------------------------------------------
-    # Masked topology queries (the FaultView's backing store)
+    # Masked topology queries (the mask the FaultView reads)
     # ------------------------------------------------------------------
 
     def node_arcs(self, node: Node) -> NodeArcs:
-        """The node's arc table with down links and nodes removed.
-
-        A failed node has an empty table (degree 0); its neighbors'
-        tables omit the direction pointing at it.
-        """
-        arcs = self._arc_cache.get(node)
-        if arcs is None:
-            base = self.mesh.node_arcs(node)
-            if not self.anything_down:
-                arcs = base
-            else:
-                neighbors = tuple(
-                    other
-                    if other is not None and self.arc_is_live(node, other)
-                    else None
-                    for other in base.neighbors
-                )
-                out = tuple(
-                    direction
-                    for direction, other in zip(
-                        self.mesh.directions, neighbors
-                    )
-                    if other is not None
-                )
-                by_direction = {
-                    direction: other
-                    for direction, other in zip(
-                        self.mesh.directions, neighbors
-                    )
-                    if other is not None
-                }
-                arcs = NodeArcs(out, neighbors, by_direction)
-            self._arc_cache[node] = arcs
-        return arcs
+        """The node's arc table under the current mask (see
+        :meth:`FaultMask.node_arcs`)."""
+        return self._mask.node_arcs(node)
 
     def good_directions_tuple(
         self, node: Node, destination: Node
     ) -> Tuple[Direction, ...]:
         """Good directions (Definition 5) restricted to live arcs."""
-        key = (node, destination)
-        cached = self._good_cache.get(key)
-        if cached is None:
-            base = self.mesh.good_directions_tuple(node, destination)
-            if not self.anything_down:
-                cached = base
-            else:
-                live = self.node_arcs(node).by_direction
-                cached = tuple(d for d in base if d in live)
-            self._good_cache[key] = cached
-        return cached
+        return self._mask.good_directions_tuple(node, destination)
 
     # ------------------------------------------------------------------
     # Packet drops
@@ -294,7 +338,7 @@ class ActiveFaults:
         not mutate anything; the kernel applies the removal.
         """
         drops = self._drops_by_step.get(step)
-        down_nodes = self._down_nodes
+        down_nodes = self._mask.down_nodes
         if not drops and not down_nodes:
             return []
         budget: Dict[Node, int] = {}
@@ -328,7 +372,7 @@ class ActiveFaults:
             labels: Dict[Node, int] = {}
             label = 0
             for start in self.mesh.nodes():
-                if start in labels or start in self._down_nodes:
+                if start in labels or start in self._mask.down_nodes:
                     continue
                 queue = [start]
                 labels[start] = label

@@ -32,7 +32,8 @@ from repro.snapshot.engine import (
 from repro.snapshot.registry import SNAPSHOT_REGISTRY, SnapshotSpec, spec_for
 from repro.snapshot.state import (
     packet_from_dict,
-    packet_to_dict,
+    packet_from_row,
+    packet_to_row,
     rng_state_from_json,
     rng_state_to_json,
 )
@@ -44,7 +45,8 @@ __all__ = [
     "engine_snapshot",
     "load_snapshot",
     "packet_from_dict",
-    "packet_to_dict",
+    "packet_from_row",
+    "packet_to_row",
     "resume_engine",
     "rng_state_from_json",
     "rng_state_to_json",

@@ -28,7 +28,9 @@ fault schedules.
 Snapshots are JSON-safe dicts stamped with
 :data:`SNAPSHOT_SCHEMA_VERSION`; :func:`save_snapshot` writes them
 atomically (tmp file + ``os.replace``) so a crash mid-checkpoint
-leaves the previous checkpoint intact.
+leaves the previous checkpoint intact.  Resume and
+:func:`load_snapshot` also read schema v1 payloads (keyed packet
+dicts, per-step and per-delivery statistics rows).
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ from repro.snapshot.state import (
     metrics_from_json,
     metrics_to_json,
     packet_from_dict,
-    packet_to_dict,
+    packet_from_row,
+    packet_to_row,
     restore_kernel_state,
     restore_stats,
     restore_telemetry,
     restore_watchdog,
     rng_state_from_json,
     rng_state_to_json,
+    stats_from_dict,
+    stats_from_v1_dict,
     stats_to_dict,
     watchdog_state,
 )
@@ -62,8 +67,18 @@ __all__ = [
     "save_snapshot",
 ]
 
-#: Bump when the snapshot payload shape changes incompatibly.
-SNAPSHOT_SCHEMA_VERSION = 1
+#: The payload shape this revision writes; bump it when that shape
+#: changes incompatibly.  Version 2 carries packets as positional rows
+#: (field order :data:`~repro.snapshot.state.PACKET_FIELDS`) and a
+#: dynamic run's statistics as running aggregates
+#: (:func:`~repro.snapshot.state.stats_to_dict`), so a dynamic
+#: checkpoint no longer grows with the run's horizon.  Version 1 keyed
+#: each packet by field name and stored one statistics row per step
+#: and per delivery.
+SNAPSHOT_SCHEMA_VERSION = 2
+
+#: Payload versions resume and :func:`load_snapshot` accept.
+_READABLE_VERSIONS = (1, SNAPSHOT_SCHEMA_VERSION)
 
 #: Engine kinds with a full-packet-list payload (batch semantics).
 _BATCH_KINDS = ("hot-potato", "buffered")
@@ -189,13 +204,13 @@ def engine_snapshot(engine: Any) -> Dict[str, Any]:
         "observers": _observer_states(engine.observers),
     }
     if kind in _BATCH_KINDS:
-        payload["packets"] = [packet_to_dict(p) for p in engine.packets]
+        payload["packets"] = [packet_to_row(p) for p in engine.packets]
         payload["metrics"] = metrics_to_json(engine._metrics)
         if kind == "buffered":
             payload["max_buffer_seen"] = engine.max_buffer_seen
     else:
         payload["packets"] = [
-            packet_to_dict(p) for p in engine._kernel.in_flight
+            packet_to_row(p) for p in engine._kernel.in_flight
         ]
         payload["source"] = engine._source.snapshot_state()
         payload["stats"] = stats_to_dict(engine._stats)
@@ -207,13 +222,17 @@ def engine_snapshot(engine: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-def _check_resumable(engine: Any, payload: Dict[str, Any]) -> str:
+def _check_version(payload: Dict[str, Any]) -> None:
     version = payload.get("schema_version")
-    if version != SNAPSHOT_SCHEMA_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ValueError(
             f"unsupported snapshot schema_version {version!r} "
-            f"(expected {SNAPSHOT_SCHEMA_VERSION})"
+            f"(expected one of {_READABLE_VERSIONS})"
         )
+
+
+def _check_resumable(engine: Any, payload: Dict[str, Any]) -> str:
+    _check_version(payload)
     kind = _engine_kind(engine)
     if payload.get("kind") != kind:
         raise ValueError(
@@ -242,7 +261,9 @@ def resume_engine(engine: Any, payload: Dict[str, Any]) -> None:
     engine.rng.setstate(rng_state_from_json(payload["rng"]))
     _restore_policy(engine.policy, payload["policy"])
 
-    packets = [packet_from_dict(data) for data in payload["packets"]]
+    legacy = payload["schema_version"] == 1
+    read_packet = packet_from_dict if legacy else packet_from_row
+    packets = [read_packet(data) for data in payload["packets"]]
     by_id = {packet.id: packet for packet in packets}
     if kind in _BATCH_KINDS:
         expected = {packet.id for packet in engine.packets}
@@ -256,7 +277,8 @@ def resume_engine(engine: Any, payload: Dict[str, Any]) -> None:
         engine._metrics[:] = metrics_from_json(payload["metrics"])
     else:
         engine._source.restore_state(payload["source"])
-        restore_stats(engine._stats, payload["stats"])
+        read_stats = stats_from_v1_dict if legacy else stats_from_dict
+        restore_stats(engine._stats, read_stats(payload["stats"]))
 
     restore_kernel_state(engine._kernel, payload["kernel"], by_id)
     restore_telemetry(engine.telemetry, payload["telemetry"])
@@ -298,12 +320,7 @@ def load_snapshot(path: str) -> Dict[str, Any]:
     """Read a snapshot written by :func:`save_snapshot` (validated)."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    version = payload.get("schema_version")
-    if version != SNAPSHOT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported snapshot schema_version {version!r} "
-            f"(expected {SNAPSHOT_SCHEMA_VERSION})"
-        )
+    _check_version(payload)
     if payload.get("kind") not in _BATCH_KINDS + _DYNAMIC_KINDS:
         raise ValueError(f"unknown snapshot kind {payload.get('kind')!r}")
     return payload

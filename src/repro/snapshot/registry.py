@@ -194,21 +194,32 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
     _spec(
         "dynamic.sources",
         "CapacityLimitedInjection",
+        # ``_pending`` is the backlog's length, recounted by
+        # restore_state(); ``_nodes`` is rebuilt by prepare().
         fields=("backlog", "next_id", "generated_at"),
-        derived=("traffic", "_mesh"),
+        derived=("traffic", "_mesh", "_nodes", "_pending"),
     ),
     _spec(
         "dynamic.sources",
         "ImmediateInjection",
         fields=("next_id", "generated_at"),
-        derived=("traffic", "_mesh"),
+        derived=("traffic", "_nodes"),
     ),
     _spec(
         "dynamic.stats",
         "DynamicStats",
         fields=(
-            "samples",
-            "deliveries",
+            "delivered_count",
+            "latency_counts",
+            "latency_sum",
+            "hop_sum",
+            "deflection_sum",
+            "stretch_sum",
+            "stretch_count",
+            "in_flight_sum",
+            "in_flight_samples",
+            "max_backlog",
+            "recent_generated",
             "horizon",
             "final_in_flight",
             "final_backlog",
@@ -233,10 +244,7 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
             "_drops_by_step",
             "_boundaries",
             "_step",
-            "_down_nodes",
-            "_down_arcs",
-            "_arc_cache",
-            "_good_cache",
+            "_mask",
             "_components",
         ),
     ),

@@ -4,10 +4,11 @@ Everything here is a pure value transformation: no file I/O, no RNG
 consumption, no wall clock.  The conversions are exact —
 ``random.Random.getstate()`` tuples round-trip through lists of ints,
 floats survive via JSON's shortest-repr round-trip, node tuples
-become lists and come back as tuples — so a payload produced by
-:func:`packet_to_dict` and folded back by :func:`packet_from_dict`
+become lists and come back as tuples — so a row produced by
+:func:`packet_to_row` and folded back by :func:`packet_from_row`
 reconstructs a packet that is indistinguishable from the original to
-every kernel path.
+every kernel path.  The keyed packet dicts of schema v1 payloads
+still read through :func:`packet_from_dict`.
 
 The field lists these functions capture are declared in
 :mod:`repro.snapshot.registry`; the ``SNP701`` lint rule keeps them in
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import StepMetrics
 from repro.core.packet import Packet
-from repro.dynamic.stats import DeliveryRecord, DynamicStats, StepSample
+from repro.dynamic.stats import DynamicStats
 from repro.faults.report import RunAborted
 from repro.mesh.directions import Direction
 from repro.types import Node, PacketId
@@ -38,14 +39,17 @@ __all__ = [
     "metrics_to_json",
     "node_from_json",
     "node_to_json",
+    "PACKET_FIELDS",
     "packet_from_dict",
-    "packet_to_dict",
+    "packet_from_row",
+    "packet_to_row",
     "restore_kernel_state",
     "restore_telemetry",
     "rng_state_from_json",
     "rng_state_to_json",
     "restore_stats",
     "stats_from_dict",
+    "stats_from_v1_dict",
     "stats_to_dict",
     "watchdog_state",
     "restore_watchdog",
@@ -117,47 +121,83 @@ def _direction_from_json(data: Optional[Sequence[Any]]) -> Optional[Direction]:
     return Direction(axis=int(axis), sign=int(sign))
 
 
-def packet_to_dict(packet: Packet) -> Dict[str, Any]:
-    """Every slot of a :class:`~repro.core.packet.Packet`, JSON-safe."""
-    return {
-        "id": packet.id,
-        "source": node_to_json(packet.source),
-        "destination": node_to_json(packet.destination),
-        "location": node_to_json(packet.location),
-        "entry_direction": _direction_to_json(packet.entry_direction),
-        "delivered_at": packet.delivered_at,
-        "dropped_at": packet.dropped_at,
-        "advanced_last_step": bool(packet.advanced_last_step),
-        "restricted_last_step": bool(packet.restricted_last_step),
-        "hops": packet.hops,
-        "advances": packet.advances,
-        "deflections": packet.deflections,
-        "path": [node_to_json(node) for node in packet.path],
-    }
+#: Field order of a packet row: every slot of
+#: :class:`~repro.core.packet.Packet`, declared once for both forms.
+PACKET_FIELDS: Tuple[str, ...] = (
+    "id",
+    "source",
+    "destination",
+    "location",
+    "entry_direction",
+    "delivered_at",
+    "dropped_at",
+    "advanced_last_step",
+    "restricted_last_step",
+    "hops",
+    "advances",
+    "deflections",
+    "path",
+)
+
+
+def packet_to_row(packet: Packet) -> List[Any]:
+    """Every slot of a :class:`~repro.core.packet.Packet`, JSON-safe,
+    as a positional row in :data:`PACKET_FIELDS` order (schema v2)."""
+    return [
+        packet.id,
+        node_to_json(packet.source),
+        node_to_json(packet.destination),
+        node_to_json(packet.location),
+        _direction_to_json(packet.entry_direction),
+        packet.delivered_at,
+        packet.dropped_at,
+        bool(packet.advanced_last_step),
+        bool(packet.restricted_last_step),
+        packet.hops,
+        packet.advances,
+        packet.deflections,
+        [node_to_json(node) for node in packet.path],
+    ]
+
+
+def packet_from_row(row: Sequence[Any]) -> Packet:
+    """Inverse of :func:`packet_to_row`."""
+    (
+        packet_id,
+        source,
+        destination,
+        location,
+        entry_direction,
+        delivered_at,
+        dropped_at,
+        advanced_last_step,
+        restricted_last_step,
+        hops,
+        advances,
+        deflections,
+        path,
+    ) = row
+    packet = Packet(
+        id=int(packet_id),
+        source=node_from_json(source),
+        destination=node_from_json(destination),
+    )
+    packet.location = node_from_json(location)
+    packet.entry_direction = _direction_from_json(entry_direction)
+    packet.delivered_at = None if delivered_at is None else int(delivered_at)
+    packet.dropped_at = None if dropped_at is None else int(dropped_at)
+    packet.advanced_last_step = bool(advanced_last_step)
+    packet.restricted_last_step = bool(restricted_last_step)
+    packet.hops = int(hops)
+    packet.advances = int(advances)
+    packet.deflections = int(deflections)
+    packet.path = [node_from_json(node) for node in path]
+    return packet
 
 
 def packet_from_dict(data: Dict[str, Any]) -> Packet:
-    """Inverse of :func:`packet_to_dict`."""
-    packet = Packet(
-        id=int(data["id"]),
-        source=node_from_json(data["source"]),
-        destination=node_from_json(data["destination"]),
-    )
-    packet.location = node_from_json(data["location"])
-    packet.entry_direction = _direction_from_json(data["entry_direction"])
-    packet.delivered_at = (
-        None if data["delivered_at"] is None else int(data["delivered_at"])
-    )
-    packet.dropped_at = (
-        None if data["dropped_at"] is None else int(data["dropped_at"])
-    )
-    packet.advanced_last_step = bool(data["advanced_last_step"])
-    packet.restricted_last_step = bool(data["restricted_last_step"])
-    packet.hops = int(data["hops"])
-    packet.advances = int(data["advances"])
-    packet.deflections = int(data["deflections"])
-    packet.path = [node_from_json(node) for node in data["path"]]
-    return packet
+    """A schema v1 packet, keyed by :data:`PACKET_FIELDS` names."""
+    return packet_from_row([data[name] for name in PACKET_FIELDS])
 
 
 # ----------------------------------------------------------------------
@@ -276,26 +316,29 @@ def restore_watchdog(
 # Dynamic statistics
 # ----------------------------------------------------------------------
 
-_SAMPLE_FIELDS: Tuple[str, ...] = tuple(
-    f.name for f in dataclass_fields(StepSample)
-)
-_DELIVERY_FIELDS: Tuple[str, ...] = tuple(
-    f.name for f in dataclass_fields(DeliveryRecord)
-)
-
 
 def stats_to_dict(stats: DynamicStats) -> Dict[str, Any]:
-    """A :class:`~repro.dynamic.stats.DynamicStats` as positional rows."""
+    """A :class:`~repro.dynamic.stats.DynamicStats` as its running
+    aggregates (schema v2): the latency histogram as ``[latency,
+    count]`` rows in ascending latency, the recent-generation window
+    as a list.  Its size depends on the number of distinct latencies,
+    not on the run's horizon."""
     return {
         "warmup": stats.warmup,
-        "samples": [
-            [getattr(s, name) for name in _SAMPLE_FIELDS]
-            for s in stats.samples
+        "delivered_count": stats.delivered_count,
+        "latency_counts": [
+            [latency, count]
+            for latency, count in sorted(stats.latency_counts.items())
         ],
-        "deliveries": [
-            [getattr(d, name) for name in _DELIVERY_FIELDS]
-            for d in stats.deliveries
-        ],
+        "latency_sum": stats.latency_sum,
+        "hop_sum": stats.hop_sum,
+        "deflection_sum": stats.deflection_sum,
+        "stretch_sum": stats.stretch_sum,
+        "stretch_count": stats.stretch_count,
+        "in_flight_sum": stats.in_flight_sum,
+        "in_flight_samples": stats.in_flight_samples,
+        "max_backlog": stats.max_backlog,
+        "recent_generated": list(stats.recent_generated),
         "horizon": stats.horizon,
         "final_in_flight": stats.final_in_flight,
         "final_backlog": stats.final_backlog,
@@ -303,16 +346,7 @@ def stats_to_dict(stats: DynamicStats) -> Dict[str, Any]:
     }
 
 
-def stats_from_dict(payload: Dict[str, Any]) -> DynamicStats:
-    stats = DynamicStats(warmup=int(payload["warmup"]))
-    stats.samples = [
-        StepSample(**dict(zip(_SAMPLE_FIELDS, row)))
-        for row in payload["samples"]
-    ]
-    stats.deliveries = [
-        DeliveryRecord(**dict(zip(_DELIVERY_FIELDS, row)))
-        for row in payload["deliveries"]
-    ]
+def _restore_final(stats: DynamicStats, payload: Dict[str, Any]) -> None:
     stats.horizon = int(payload["horizon"])
     stats.final_in_flight = int(payload["final_in_flight"])
     stats.final_backlog = int(payload["final_backlog"])
@@ -321,12 +355,62 @@ def stats_from_dict(payload: Dict[str, Any]) -> DynamicStats:
         if payload["abort"] is not None
         else None
     )
+
+
+def stats_from_dict(payload: Dict[str, Any]) -> DynamicStats:
+    """Inverse of :func:`stats_to_dict`."""
+    stats = DynamicStats(warmup=int(payload["warmup"]))
+    stats.delivered_count = int(payload["delivered_count"])
+    stats.latency_counts = {
+        int(latency): int(count)
+        for latency, count in payload["latency_counts"]
+    }
+    stats.latency_sum = int(payload["latency_sum"])
+    stats.hop_sum = int(payload["hop_sum"])
+    stats.deflection_sum = int(payload["deflection_sum"])
+    stats.stretch_sum = float(payload["stretch_sum"])
+    stats.stretch_count = int(payload["stretch_count"])
+    stats.in_flight_sum = int(payload["in_flight_sum"])
+    stats.in_flight_samples = int(payload["in_flight_samples"])
+    stats.max_backlog = int(payload["max_backlog"])
+    stats.recent_generated.extend(
+        int(generated) for generated in payload["recent_generated"]
+    )
+    _restore_final(stats, payload)
     return stats
 
 
-def restore_stats(stats: DynamicStats, payload: Dict[str, Any]) -> None:
+def stats_from_v1_dict(payload: Dict[str, Any]) -> DynamicStats:
+    """A schema v1 stats payload folded into the running aggregates.
+
+    v1 stored one row per step (``samples``) and one per counted
+    delivery (``deliveries``); they are replayed through
+    :meth:`~repro.dynamic.stats.DynamicStats.record_step` and
+    :meth:`~repro.dynamic.stats.DynamicStats.record_delivery` in their
+    stored order, which is the order the run recorded them, so the
+    float stretch sum comes out as the uninterrupted run's.
+    """
+    stats = DynamicStats(warmup=int(payload["warmup"]))
+    for row in payload["samples"]:
+        # step, generated, injected, in_flight, advancing, delivered,
+        # backlog
+        step, generated, _, in_flight, _, _, backlog = (
+            int(value) for value in row
+        )
+        stats.record_step(step, generated, in_flight, backlog)
+    for row in payload["deliveries"]:
+        generated_at, delivered_at, hops, deflections, shortest = (
+            int(value) for value in row
+        )
+        stats.record_delivery(
+            generated_at, delivered_at, hops, deflections, shortest
+        )
+    _restore_final(stats, payload)
+    return stats
+
+
+def restore_stats(stats: DynamicStats, restored: DynamicStats) -> None:
     """In-place restore: the kernel's step and delivery recorders hold
     the engine's stats object, so the instance must keep its identity."""
-    restored = stats_from_dict(payload)
     for field in dataclass_fields(stats):
         setattr(stats, field.name, getattr(restored, field.name))

@@ -39,6 +39,7 @@ from repro.core.validation import (
 )
 from repro.dynamic import BernoulliTraffic, DynamicEngine
 from repro.dynamic.buffered import BufferedDynamicEngine
+from repro.faults import random_schedule
 from repro.mesh.topology import Mesh
 from repro.workloads import random_many_to_many
 
@@ -219,11 +220,92 @@ def _buffered_dynamic(backend):
     return engine, engine.run(50)
 
 
+def _schedule(mesh):
+    return random_schedule(
+        mesh,
+        seed=4,
+        link_faults=3,
+        node_faults=1,
+        packet_drops=2,
+        horizon=40,
+        max_window=20,
+    )
+
+
+def _faulted_hot_potato(backend):
+    policy = RestrictedPriorityPolicy()
+    mesh = Mesh(2, 8)
+    engine = HotPotatoEngine(
+        random_many_to_many(mesh, 40, seed=1),
+        policy,
+        seed=1,
+        validators=validators_for(policy, strict=False),
+        backend=backend,
+        faults=_schedule(mesh),
+    )
+    return engine, engine.run()
+
+
+def _faulted_buffered(backend):
+    mesh = Mesh(2, 8)
+    engine = BufferedEngine(
+        random_many_to_many(mesh, 40, seed=1),
+        DimensionOrderPolicy(),
+        seed=1,
+        backend=backend,
+        faults=_schedule(mesh),
+    )
+    return engine, engine.run()
+
+
+def _faulted_dynamic(backend):
+    mesh = Mesh(2, 8)
+    engine = DynamicEngine(
+        mesh,
+        RestrictedPriorityPolicy(),
+        BernoulliTraffic(0.1),
+        seed=1,
+        backend=backend,
+        faults=_schedule(mesh),
+    )
+    return engine, engine.run(50)
+
+
+def _faulted_buffered_dynamic(backend):
+    mesh = Mesh(2, 8)
+    engine = BufferedDynamicEngine(
+        mesh,
+        DimensionOrderPolicy(),
+        BernoulliTraffic(0.1),
+        seed=1,
+        backend=backend,
+        faults=_schedule(mesh),
+    )
+    return engine, engine.run(50)
+
+
+def _unreachable_after_drop(make, backend):
+    """Objects a full collection finds after a finished engine is
+    dropped with the collector off (0: refcounting freed it all)."""
+    make(backend)  # process-wide caches fill outside the count
+    gc.collect()
+    gc.disable()
+    try:
+        engine, outcome = make(backend)
+        del engine
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert outcome is not None
+    return unreachable
+
+
 class TestNoReferenceCycles:
     """The kernel's ``emit`` / ``on_deliver`` callbacks close over the
-    engine's state, not the engine, so a finished engine, its kernel
-    and every packet are freed by reference counting alone: with the
-    collector off, a full collection afterwards finds nothing."""
+    engine's state, not the engine, and a fault view reads the fault
+    mask, not its owner, so a finished engine, its kernel and every
+    packet are freed by reference counting alone: with the collector
+    off, a full collection afterwards finds nothing."""
 
     @pytest.mark.parametrize("backend", ["object", "soa", "auto"])
     @pytest.mark.parametrize(
@@ -232,14 +314,17 @@ class TestNoReferenceCycles:
         ids=["hot-potato", "buffered", "dynamic", "buffered-dynamic"],
     )
     def test_dropped_engine_leaves_no_garbage(self, make, backend):
-        make(backend)  # process-wide caches fill outside the count
-        gc.collect()
-        gc.disable()
-        try:
-            engine, outcome = make(backend)
-            del engine
-            unreachable = gc.collect()
-        finally:
-            gc.enable()
-        assert outcome is not None
-        assert unreachable == 0
+        assert _unreachable_after_drop(make, backend) == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _faulted_hot_potato,
+            _faulted_buffered,
+            _faulted_dynamic,
+            _faulted_buffered_dynamic,
+        ],
+        ids=["hot-potato", "buffered", "dynamic", "buffered-dynamic"],
+    )
+    def test_dropped_faulted_engine_leaves_no_garbage(self, make):
+        assert _unreachable_after_drop(make, "object") == 0

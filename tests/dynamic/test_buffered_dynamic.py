@@ -11,6 +11,7 @@ from repro.dynamic import (
 )
 from repro.exceptions import ArcAssignmentError
 from repro.mesh.topology import Mesh
+from tests.dynamic.rows import run_rows
 
 
 class TestBasics:
@@ -19,11 +20,11 @@ class TestBasics:
         engine = BufferedDynamicEngine(
             mesh8, DimensionOrderPolicy(), traffic, seed=0
         )
-        stats = engine.run(20)
+        _, deliveries, stats = run_rows(engine, 20)
         assert stats.delivered_count == 1
-        record = stats.deliveries[0]
-        assert record.hops == record.shortest == 5
-        assert record.deflections == 0
+        [(_, _, hops, deflections, shortest)] = deliveries
+        assert hops == shortest == 5
+        assert deflections == 0
 
     def test_no_deflections_ever(self, mesh8):
         engine = BufferedDynamicEngine(

@@ -13,6 +13,7 @@ from repro.dynamic import (
     DynamicStats,
     ScriptedTraffic,
 )
+from tests.dynamic.rows import run_rows
 
 
 class TestBasicOperation:
@@ -21,14 +22,15 @@ class TestBasicOperation:
         engine = DynamicEngine(
             mesh8, PlainGreedyPolicy(), traffic, seed=0
         )
-        stats = engine.run(10)
+        _, deliveries, stats = run_rows(engine, 10)
         assert stats.delivered_count == 1
-        record = stats.deliveries[0]
+        [(generated_at, delivered_at, hops, _, shortest)] = deliveries
         # Generated at the start of step 0, injected immediately, so it
         # moves during steps 0..2 and arrives at time 3: latency == dist.
-        assert record.latency == 3
-        assert record.hops == 3
-        assert record.shortest == 3
+        assert delivered_at - generated_at == 3
+        assert hops == 3
+        assert shortest == 3
+        assert stats.latency_counts == {3: 1}
 
     def test_no_traffic_is_a_noop(self, mesh8):
         engine = DynamicEngine(
@@ -171,9 +173,9 @@ class TestWarmup:
         engine = DynamicEngine(
             mesh8, PlainGreedyPolicy(), traffic, seed=0, warmup=10
         )
-        stats = engine.run(80)
+        _, deliveries, stats = run_rows(engine, 80)
         assert stats.delivered_count == 1
-        assert stats.deliveries[0].generated_at == 50
+        assert [row[0] for row in deliveries] == [0, 50]
 
 
 class TestStats:

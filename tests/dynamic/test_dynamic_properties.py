@@ -14,6 +14,7 @@ from repro.dynamic import (
     DynamicEngine,
 )
 from repro.mesh.topology import Mesh
+from tests.dynamic.rows import run_rows
 
 SLOW = settings(
     max_examples=15,
@@ -41,8 +42,8 @@ class TestHotPotatoDynamicProperties:
             BernoulliTraffic(rate),
             seed=seed,
         )
-        stats = engine.run(120)
-        generated = sum(s.generated for s in stats.samples)
+        steps, _, stats = run_rows(engine, 120)
+        generated = sum(row[1] for row in steps)
         injected = engine._next_id  # ids are issued at injection
         backlog = sum(len(q) for q in engine.backlog.values())
         assert generated == injected + backlog
@@ -62,11 +63,11 @@ class TestHotPotatoDynamicProperties:
             BernoulliTraffic(rate),
             seed=seed,
         )
-        stats = engine.run(150)
-        for record in stats.deliveries:
-            assert record.latency >= record.shortest
-            assert record.hops >= record.shortest
-            assert (record.hops - record.shortest) % 2 == 0
+        _, deliveries, _ = run_rows(engine, 150)
+        for generated_at, delivered_at, hops, _, shortest in deliveries:
+            assert delivered_at - generated_at >= shortest
+            assert hops >= shortest
+            assert (hops - shortest) % 2 == 0
 
     @given(params)
     @SLOW
@@ -78,11 +79,12 @@ class TestHotPotatoDynamicProperties:
             BernoulliTraffic(rate),
             seed=seed,
         )
-        stats = engine.run(100)
-        for sample in stats.samples:
-            assert sample.injected <= sample.generated + sample.backlog + 10**9
-            assert 0 <= sample.advancing <= sample.in_flight
-            assert sample.delivered <= sample.in_flight
+        steps, _, _ = run_rows(engine, 100)
+        for row in steps:
+            _, generated, injected, in_flight, advancing, delivered, backlog = row
+            assert injected <= generated + backlog + 10**9
+            assert 0 <= advancing <= in_flight
+            assert delivered <= in_flight
 
 
 class TestBufferedDynamicProperties:
@@ -98,7 +100,7 @@ class TestBufferedDynamicProperties:
             BernoulliTraffic(rate),
             seed=seed,
         )
-        stats = engine.run(120)
-        for record in stats.deliveries:
-            assert record.hops == record.shortest
-            assert record.latency >= record.shortest
+        _, deliveries, _ = run_rows(engine, 120)
+        for generated_at, delivered_at, hops, _, shortest in deliveries:
+            assert hops == shortest
+            assert delivered_at - generated_at >= shortest

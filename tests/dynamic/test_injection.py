@@ -1,14 +1,20 @@
 """Tests for the dynamic traffic models."""
 
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms import PlainGreedyPolicy
+from repro.dynamic import DynamicEngine
 from repro.dynamic.injection import (
     BernoulliTraffic,
     HotSpotTraffic,
     ScriptedTraffic,
 )
+from repro.mesh.topology import Mesh
 
 
 class TestBernoulli:
@@ -104,3 +110,45 @@ class TestScripted:
         bad = ScriptedTraffic([((1, 1), 0, (9, 9))])
         with pytest.raises(ValueError):
             bad.prepare(mesh8, random.Random(0))
+
+
+def _queued(engine):
+    return sum(len(queue) for queue in engine.backlog.values())
+
+
+class TestCapacityLimitedBacklog:
+    """The source keeps a running backlog count instead of summing its
+    queues every step; the count must be the sum at every boundary."""
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        side=st.integers(min_value=3, max_value=6),
+        rate=st.floats(min_value=0.05, max_value=0.95),
+        seed=st.integers(min_value=0, max_value=2**16),
+        backend=st.sampled_from(["object", "soa"]),
+        steps=st.integers(min_value=1, max_value=40),
+    )
+    def test_count_is_the_queue_total(self, side, rate, seed, backend, steps):
+        def engine():
+            return DynamicEngine(
+                Mesh(2, side),
+                PlainGreedyPolicy(),
+                BernoulliTraffic(rate),
+                seed=seed,
+                backend=backend,
+            )
+
+        original = engine()
+        for _ in range(steps):
+            original.run(1)
+            assert original._source.backlog_size() == _queued(original)
+        resumed = engine()
+        resumed.resume_from(json.loads(json.dumps(original.snapshot())))
+        assert resumed._source.backlog_size() == _queued(original)
+        for _ in range(5):
+            resumed.run(1)
+            assert resumed._source.backlog_size() == _queued(resumed)

@@ -38,6 +38,7 @@ from repro.dynamic import (
 from repro.mesh.topology import Mesh
 from repro.mesh.torus import Torus
 from repro.workloads import random_many_to_many, transpose
+from tests.dynamic.rows import RunRows, assert_stats_fold_rows
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "engines.json")
 
@@ -62,23 +63,22 @@ def _buffered_batch(
     }
 
 
-def _dynamic_snapshot(engine: Any, stats: Any) -> Dict[str, Any]:
-    """Everything a dynamic run observably produced, as plain JSON."""
+def _dynamic_snapshot(engine: Any, steps: int) -> Dict[str, Any]:
+    """Run ``engine`` for ``steps`` and return everything it observably
+    produced, as plain JSON: the per-step and per-delivery rows come
+    from :class:`~tests.dynamic.rows.RunRows`, and the engine's
+    statistics must be their fold."""
+    rows = RunRows(engine)
+    stats = engine.run(steps)
+    assert_stats_fold_rows(stats, rows)
     return {
         "delivered_count": stats.delivered_count,
         "horizon": stats.horizon,
         "final_in_flight": stats.final_in_flight,
         "final_backlog": stats.final_backlog,
         "next_id": engine._next_id,
-        "samples": [
-            [s.step, s.generated, s.injected, s.in_flight, s.advancing,
-             s.delivered, s.backlog]
-            for s in stats.samples
-        ],
-        "deliveries": [
-            [d.generated_at, d.delivered_at, d.hops, d.deflections, d.shortest]
-            for d in stats.deliveries
-        ],
+        "samples": [list(row) for row in rows.steps],
+        "deliveries": [list(row) for row in rows.counted],
     }
 
 
@@ -116,7 +116,7 @@ def scenario_dynamic_restricted(
         warmup=20,
         backend=backend,
     )
-    return _dynamic_snapshot(engine, engine.run(150))
+    return _dynamic_snapshot(engine, 150)
 
 
 def scenario_dynamic_randomized(
@@ -132,7 +132,7 @@ def scenario_dynamic_randomized(
         warmup=10,
         backend=backend,
     )
-    return _dynamic_snapshot(engine, engine.run(120))
+    return _dynamic_snapshot(engine, 120)
 
 
 def scenario_dynamic_hotspot(backend: str = "object") -> Dict[str, Any]:
@@ -143,7 +143,7 @@ def scenario_dynamic_hotspot(backend: str = "object") -> Dict[str, Any]:
         seed=5,
         backend=backend,
     )
-    return _dynamic_snapshot(engine, engine.run(100))
+    return _dynamic_snapshot(engine, 100)
 
 
 def scenario_buffered_dynamic_bernoulli(
@@ -157,7 +157,7 @@ def scenario_buffered_dynamic_bernoulli(
         warmup=20,
         backend=backend,
     )
-    snapshot = _dynamic_snapshot(engine, engine.run(150))
+    snapshot = _dynamic_snapshot(engine, 150)
     snapshot["max_queue_seen"] = engine.max_queue_seen
     return snapshot
 
@@ -176,7 +176,7 @@ def scenario_buffered_dynamic_scripted(
     engine = BufferedDynamicEngine(
         Mesh(2, 6), DimensionOrderPolicy(), traffic, seed=0, backend=backend
     )
-    snapshot = _dynamic_snapshot(engine, engine.run(30))
+    snapshot = _dynamic_snapshot(engine, 30)
     snapshot["max_queue_seen"] = engine.max_queue_seen
     return snapshot
 

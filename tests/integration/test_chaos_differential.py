@@ -24,6 +24,7 @@ from repro.dynamic import (
 from repro.faults import FaultSchedule, random_schedule
 from repro.mesh.topology import Mesh
 from repro.workloads import random_many_to_many, random_permutation
+from tests.dynamic.rows import run_rows
 
 _SETTINGS = settings(
     max_examples=20,
@@ -76,17 +77,10 @@ def _dynamic_chaos(draw):
 
 
 def _dynamic_outcome(engine, steps):
-    """Everything a dynamic run exposes: samples, deliveries, what is
-    left, the counters and the abort verdict."""
-    stats = engine.run(steps)
-    return (
-        stats.samples,
-        stats.deliveries,
-        stats.final_in_flight,
-        stats.final_backlog,
-        stats.abort,
-        engine.telemetry,
-    )
+    """Everything a dynamic run exposes: its step and delivery rows,
+    the statistics (what is left and the abort verdict included) and
+    the counters."""
+    return run_rows(engine, steps), engine.telemetry
 
 
 class TestHotPotatoChaos:

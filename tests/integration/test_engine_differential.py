@@ -31,6 +31,7 @@ from repro.dynamic import (
 from repro.mesh.topology import Mesh
 from repro.mesh.torus import Torus
 from repro.workloads import random_many_to_many, random_permutation
+from tests.dynamic.rows import run_rows
 
 DYNAMIC_POLICIES = (
     RestrictedPriorityPolicy,
@@ -45,14 +46,6 @@ _SETTINGS = settings(
 )
 
 
-def _stats_tuple(stats):
-    return (
-        stats.samples,
-        stats.deliveries,
-        stats.horizon,
-        stats.final_in_flight,
-        stats.final_backlog,
-    )
 
 
 @st.composite
@@ -154,9 +147,7 @@ class TestDynamicDifferential:
             observers=[RunObserver()],
             backend="object",
         )
-        assert _stats_tuple(lean.run(steps)) == _stats_tuple(
-            instrumented.run(steps)
-        )
+        assert run_rows(lean, steps) == run_rows(instrumented, steps)
         assert lean.telemetry == instrumented.telemetry
         assert lean._next_id == instrumented._next_id
         assert [p.id for p in lean.in_flight] == [
@@ -186,8 +177,6 @@ class TestBufferedDynamicDifferential:
             observers=[RunObserver()],
             backend="object",
         )
-        assert _stats_tuple(lean.run(steps)) == _stats_tuple(
-            instrumented.run(steps)
-        )
+        assert run_rows(lean, steps) == run_rows(instrumented, steps)
         assert lean.telemetry == instrumented.telemetry
         assert lean.max_queue_seen == instrumented.max_queue_seen

@@ -28,6 +28,7 @@ from repro.obs.metrics import RunMetricsRecorder
 from repro.obs.series import SeriesRecorder
 from repro.obs.tracing import PacketTracer
 from repro.workloads import random_many_to_many
+from tests.dynamic.rows import run_rows
 
 from .test_engine_differential import _SETTINGS, _batch_problems
 from .test_soa_differential import HOT_POTATO_POLICIES, _hot_potato
@@ -126,8 +127,7 @@ class TestDynamicObserversAreInert:
                 observers=observers,
                 backend="object",
             )
-            stats = engine.run(steps)
-            return stats.samples, stats.deliveries, engine.telemetry
+            return run_rows(engine, steps), engine.telemetry
 
         assert run([RunMetricsRecorder(), SeriesRecorder()]) == run([])
 

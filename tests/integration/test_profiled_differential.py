@@ -37,6 +37,7 @@ from repro.mesh.topology import Mesh
 from repro.mesh.torus import Torus
 from repro.obs.profiler import PhaseProfiler
 from repro.workloads import random_many_to_many, random_permutation
+from tests.dynamic.rows import run_rows
 
 _SETTINGS = settings(
     max_examples=15,
@@ -49,16 +50,6 @@ POLICIES = (
     PlainGreedyPolicy,
     RandomizedGreedyPolicy,
 )
-
-
-def _stats_tuple(stats):
-    return (
-        stats.samples,
-        stats.deliveries,
-        stats.horizon,
-        stats.final_in_flight,
-        stats.final_backlog,
-    )
 
 
 @st.composite
@@ -226,9 +217,7 @@ class TestDynamicProfiled:
             profiler=profiler,
             backend="object",
         )
-        assert _stats_tuple(profiled.run(steps)) == _stats_tuple(
-            lean.run(steps)
-        )
+        assert run_rows(profiled, steps) == run_rows(lean, steps)
         assert profiled.telemetry == lean.telemetry
         assert profiler.steps == steps
 
@@ -258,9 +247,7 @@ class TestBufferedDynamicProfiled:
             profiler=profiler,
             backend="object",
         )
-        assert _stats_tuple(profiled.run(steps)) == _stats_tuple(
-            lean.run(steps)
-        )
+        assert run_rows(profiled, steps) == run_rows(lean, steps)
         assert profiled.telemetry == lean.telemetry
         assert profiled.max_queue_seen == lean.max_queue_seen
 

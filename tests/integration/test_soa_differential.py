@@ -41,12 +41,13 @@ from repro.mesh.topology import Mesh
 from repro.mesh.torus import Torus
 from repro.workloads import random_many_to_many
 
+from tests.dynamic.rows import run_rows
+
 from .test_engine_differential import (
     _SETTINGS,
     DYNAMIC_POLICIES,
     _batch_problems,
     _dynamic_configs,
-    _stats_tuple,
 )
 
 #: Every hot-potato policy family the adapter supports, including the
@@ -265,7 +266,7 @@ class TestDynamicSoaDifferential:
             warmup=warmup,
             backend="soa",
         )
-        assert _stats_tuple(obj.run(steps)) == _stats_tuple(soa.run(steps))
+        assert run_rows(obj, steps) == run_rows(soa, steps)
         assert obj.telemetry == soa.telemetry
         assert obj._next_id == soa._next_id
         assert [p.id for p in obj.in_flight] == [
@@ -294,6 +295,6 @@ class TestBufferedDynamicSoaDifferential:
             warmup=warmup,
             backend="soa",
         )
-        assert _stats_tuple(obj.run(steps)) == _stats_tuple(soa.run(steps))
+        assert run_rows(obj, steps) == run_rows(soa, steps)
         assert obj.telemetry == soa.telemetry
         assert obj.max_queue_seen == soa.max_queue_seen

@@ -7,6 +7,8 @@ reference scenario: the snapshot at the first checkpoint boundary
 The golden tests re-derive both on the current tree and require exact
 equality, then resume from the committed ``mid`` payload and require
 the continuation to land exactly on the committed ``final``.
+``golden_v1.json``, the schema v1 capture of the same scenarios, is
+never regenerated: it pins the v1 read path.
 
 Run from the repo root::
 

@@ -26,6 +26,9 @@ from repro.workloads import random_many_to_many
 HORIZON = 20
 GOLDEN_EVERY = 4
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden.json")
+#: The same scenarios captured under snapshot schema v1, kept to pin
+#: the v1 read path.
+GOLDEN_V1_PATH = os.path.join(os.path.dirname(__file__), "golden_v1.json")
 
 BATCH_KINDS = ("hot-potato", "buffered")
 DYNAMIC_KINDS = ("dynamic", "buffered-dynamic")
@@ -122,6 +125,6 @@ def roundtrip(payload):
     return json.loads(json.dumps(payload))
 
 
-def load_golden():
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+def load_golden(path=GOLDEN_PATH):
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle)

@@ -7,6 +7,11 @@ is *exact* — a change to the payload shape, the RNG encoding, a
 packet field, or any engine behavior shows up as a diff against the
 fixture, which is the point: snapshots written by one revision must
 resume under the next, or the schema version must change.
+
+``golden_v1.json`` is the same capture under snapshot schema v1 (keyed
+packet dicts, per-step and per-delivery statistics rows), kept byte
+for byte as that schema wrote it: its mid-run payloads must still
+resume and land on the current final state.
 """
 
 import pytest
@@ -16,6 +21,8 @@ from repro.snapshot import SNAPSHOT_SCHEMA_VERSION, engine_snapshot
 from .scenarios import (
     ALL_COMBOS,
     GOLDEN_EVERY,
+    GOLDEN_PATH,
+    GOLDEN_V1_PATH,
     drive,
     load_golden,
     make_engine,
@@ -24,10 +31,20 @@ from .scenarios import (
 
 IDS = [f"{kind}-{backend}" for kind, backend in ALL_COMBOS]
 
+#: Committed fixtures by the schema version that wrote them.
+FIXTURES = {1: GOLDEN_V1_PATH, SNAPSHOT_SCHEMA_VERSION: GOLDEN_PATH}
+
 
 @pytest.fixture(scope="module")
 def golden():
     return load_golden()
+
+
+@pytest.fixture(scope="module")
+def fixtures():
+    return {
+        version: load_golden(path) for version, path in FIXTURES.items()
+    }
 
 
 @pytest.mark.parametrize("kind,backend", ALL_COMBOS, ids=IDS)
@@ -48,19 +65,23 @@ def test_current_tree_reproduces_fixture(kind, backend, golden):
 
 
 @pytest.mark.parametrize("kind,backend", ALL_COMBOS, ids=IDS)
-def test_resume_from_committed_payload(kind, backend, golden):
+def test_resume_from_committed_payload(kind, backend, fixtures, golden):
     # Snapshots written by a past revision must resume on this one:
-    # the committed mid-run payload, continued to completion, lands
-    # exactly on the committed final state.
-    payload = golden[f"{kind}/{backend}"]
-    engine = make_engine(kind, backend)
-    engine.resume_from(payload["mid"])
-    drive(engine, kind)
-    assert roundtrip(engine_snapshot(engine)) == payload["final"]
+    # the committed mid-run payload of either schema, continued to
+    # completion, lands exactly on the committed current final state.
+    name = f"{kind}/{backend}"
+    for version, fixture in sorted(fixtures.items()):
+        engine = make_engine(kind, backend)
+        engine.resume_from(fixture[name]["mid"])
+        drive(engine, kind)
+        final = roundtrip(engine_snapshot(engine))
+        assert final == golden[name]["final"], f"from v{version}"
 
 
-def test_fixture_inventory(golden):
-    assert set(golden) == {f"{k}/{b}" for k, b in ALL_COMBOS}
-    for name, payload in golden.items():
-        assert payload["mid"]["schema_version"] == SNAPSHOT_SCHEMA_VERSION, name
-        assert payload["mid"]["step"] == GOLDEN_EVERY, name
+def test_fixture_inventory(fixtures):
+    for version, fixture in fixtures.items():
+        assert set(fixture) == {f"{k}/{b}" for k, b in ALL_COMBOS}
+        for name, payload in fixture.items():
+            assert payload["mid"]["schema_version"] == version, name
+            assert payload["final"]["schema_version"] == version, name
+            assert payload["mid"]["step"] == GOLDEN_EVERY, name

@@ -19,6 +19,11 @@ from repro.snapshot import (
 
 from .scenarios import drive, make_engine, roundtrip
 
+#: The last checkpoint ``repro route --side 8 --k 40 --seed 9
+#: --checkpoint-every 5 --checkpoint FILE`` left under snapshot schema
+#: v1 (step 10 of 13).
+ROUTE_V1_PATH = os.path.join(os.path.dirname(__file__), "route_v1.json")
+
 
 def _snapshot(kind="hot-potato", backend="object", **kwargs):
     taken = []
@@ -109,3 +114,17 @@ class TestSnapshotFiles:
         engine = make_engine("hot-potato", "object")
         engine.resume_from(load_snapshot(path))
         assert engine.run() == reference
+
+    def test_v1_route_checkpoint_resumes_through_the_cli(self, capsys):
+        from repro.cli import main
+
+        flags = ["route", "--side", "8", "--k", "40", "--seed", "9"]
+        assert load_snapshot(ROUTE_V1_PATH)["schema_version"] == 1
+        assert main(flags) == 0
+        reference = capsys.readouterr().out
+        assert main(flags + ["--resume-from", ROUTE_V1_PATH]) == 0
+        resumed = capsys.readouterr().out.splitlines(keepends=True)
+        note = f"resuming from {ROUTE_V1_PATH} (step 10)\n"
+        assert note in resumed
+        resumed.remove(note)
+        assert "".join(resumed) == reference
