@@ -258,12 +258,14 @@ class WorkerPool:
     ) -> None:
         """One pool attempt over ``pending``; records what completes.
 
-        Infrastructure casualties (worker crashes, unstartable or
-        wedged pools) are swallowed — a lost chunk's items simply stay
-        pending and the caller retries the gaps — but they also cost
-        the pool its worker processes: a broken or wedged pool is
-        discarded so the next pass (or batch) starts a fresh one.
-        Exceptions raised by ``fn`` itself propagate.
+        Infrastructure casualties are swallowed: a worker crash (even
+        one that breaks the pool while chunks are still being
+        submitted), an unstartable pool, a wedged one.  Lost and
+        unsubmitted chunks simply stay pending and the caller retries
+        the gaps; only submitted chunks count in :attr:`attempts`.  A
+        casualty costs the pool its worker processes: a broken or
+        wedged pool is discarded so the next pass (or batch) starts a
+        fresh one.  Exceptions raised by ``fn`` itself propagate.
         """
         if not self.start():
             self.degraded = True
@@ -272,14 +274,18 @@ class WorkerPool:
         assert pool is not None
         healthy = True
         try:
-            chunks = self._chunks(pending)
-            for chunk in chunks:
+            futures: Dict[Future[List[Any]], Sequence[int]] = {}
+            for chunk in self._chunks(pending):
+                try:
+                    future = pool.submit(fn, [items[i] for i in chunk])
+                except (BrokenProcessPool, OSError):
+                    # A worker died while chunks were still going out:
+                    # this chunk and the rest stay pending.
+                    healthy = False
+                    break
+                futures[future] = chunk
                 for index in chunk:
                     self.attempts[index] += 1
-            futures: Dict[Future[List[Any]], Sequence[int]] = {
-                pool.submit(fn, [items[i] for i in chunk]): chunk
-                for chunk in chunks
-            }
             self.chunked += len(futures)
             outstanding = set(futures)
             while outstanding:

@@ -9,7 +9,8 @@ implementation of that pipeline; the four public engines
 :class:`~repro.core.buffered_engine.BufferedEngine`,
 :class:`~repro.dynamic.engine.DynamicEngine`,
 :class:`~repro.dynamic.buffered.BufferedDynamicEngine`) are thin
-configurations of it.
+configurations of it, driven by the one run driver in
+:mod:`repro.core.chassis`.
 
 The kernel has two code paths with identical observable semantics:
 
@@ -54,7 +55,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     Iterable,
@@ -180,6 +180,12 @@ class InjectionSource(ABC):
     sources live in :mod:`repro.dynamic.sources` — the core layer
     defines the interface so it never imports the dynamic layer.
     """
+
+    #: Generation step of every injected packet still in the network.
+    #: Delivery pops a packet's entry (the latency clock starts at
+    #: generation); the fault phase forgets the entries of the packets
+    #: it drops.
+    generated_at: Dict[PacketId, int]
 
     def prepare(self, mesh: Mesh, rng: random.Random) -> None:
         """Called once before the first step."""
@@ -364,25 +370,6 @@ class StepKernel:
         self.delivered_total = delivered_total
         self._dist = {p.id: distances[p.id] for p in self.in_flight}
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The kernel-owned run state as a JSON-safe dict (packets by
-        id reference; see :mod:`repro.snapshot.state`).  Engines embed
-        this in their full snapshots alongside the packet objects."""
-        from repro.snapshot.state import kernel_state
-
-        return kernel_state(self)
-
-    def resume_from(
-        self,
-        payload: Dict[str, Any],
-        packets_by_id: Dict[PacketId, Packet],
-    ) -> None:
-        """Overwrite this kernel with checkpointed state; the inverse
-        of :meth:`snapshot` given the restored packet objects."""
-        from repro.snapshot.state import restore_kernel_state
-
-        restore_kernel_state(self, payload, packets_by_id)
-
     def _decide(self) -> Callable[[NodeView], Assignment]:
         """The per-node decision function for this discipline."""
         if self.buffered:
@@ -413,8 +400,9 @@ class StepKernel:
         (packets at failed nodes, plus scheduled drop events, lowest
         ids first) is delegated to
         :meth:`~repro.faults.state.ActiveFaults.select_drops`; this
-        method applies the removal to the kernel's state.  Returns the
-        number of packets dropped.
+        method applies the removal to the kernel's state and to the
+        injection source's generation table.  Returns the number of
+        packets dropped.
         """
         faults = self.faults
         if faults is None:
@@ -429,10 +417,14 @@ class StepKernel:
         ]
         dist = self._dist
         now = self.time
+        source = self.injection
         for packet in victims:
             packet.dropped_at = now
             del dist[packet.id]
             faults.dropped_ids.append(packet.id)
+            if source is not None:
+                # Never delivered, so nothing else forgets it.
+                del source.generated_at[packet.id]
         return len(victims)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,8 @@ default), and waiting happens *inside* the fabric — the queue
 occupancy the hot-potato discipline exists to eliminate.
 
 The step loop is the shared :class:`~repro.core.kernel.StepKernel`
-(buffered semantics, sorted node order).  Statistics are the shared
+(buffered semantics, sorted node order), driven by the shared
+:class:`~repro.core.chassis.EngineBase`.  Statistics are the shared
 :class:`~repro.dynamic.stats.DynamicStats`, so the two engines'
 latency/throughput curves compare directly (benchmark E21).
 """
@@ -34,6 +35,7 @@ class BufferedDynamicEngine(DynamicEngineBase):
     source backlog is identically zero).
     """
 
+    kind = "buffered-dynamic"
     buffered = True
 
     def _make_source(self, traffic: TrafficModel) -> ImmediateInjection:

@@ -14,7 +14,8 @@ source queue; their latency clock starts at *generation*, so source
 queueing is part of measured latency, as in the deflection-network
 literature.
 
-The step loop is the shared :class:`~repro.core.kernel.StepKernel`
+The step loop is the shared :class:`~repro.core.kernel.StepKernel`,
+driven by the shared :class:`~repro.core.chassis.EngineBase` and
 configured with a
 :class:`~repro.dynamic.sources.CapacityLimitedInjection` source,
 sorted node order, and no entry-direction tracking (the historical
@@ -49,7 +50,10 @@ class DynamicEngine(DynamicEngineBase):
         seed: RNG seed shared by traffic and policy.
         warmup: steps excluded from steady-state statistics (packets
             *generated* before ``warmup`` are routed but not counted).
-        observers: per-step observers; forces the instrumented loop.
+        observers: run observers.  Only observers that consume steps
+            (``needs_steps``, the :class:`~repro.core.events.RunObserver`
+            default) force the instrumented loop; run-boundary and
+            summary observers keep the lean one.
 
     Call :meth:`run` with a horizon; the returned
     :class:`~repro.dynamic.stats.DynamicStats` carries latency,
@@ -57,7 +61,7 @@ class DynamicEngine(DynamicEngineBase):
     :class:`~repro.obs.series.SeriesRecorder` for per-step series).
     """
 
-    buffered = False
+    kind = "dynamic"
 
     def _make_source(
         self, traffic: TrafficModel

@@ -46,14 +46,6 @@ __all__ = [
 #: Bump when manifest fields change incompatibly.
 SCHEMA_VERSION = 1
 
-#: Engine class name -> the CLI's engine vocabulary.
-_ENGINE_KINDS = {
-    "HotPotatoEngine": "hot-potato",
-    "BufferedEngine": "buffered",
-    "DynamicEngine": "dynamic",
-    "BufferedDynamicEngine": "buffered-dynamic",
-}
-
 #: Required manifest keys and the JSON types they must parse back as.
 _REQUIRED_FIELDS: Dict[str, tuple] = {
     "schema_version": (int,),
@@ -312,17 +304,16 @@ def manifest_for_engine(
 ) -> RunManifest:
     """Build a manifest by introspecting a finished engine.
 
-    Works on all four engines: they share ``mesh``/``policy`` and the
-    seeded ``_seed`` description, carry their
+    Works on all four engines: they name themselves in the CLI's
+    vocabulary as ``kind``, share ``mesh``/``policy`` and the seeded
+    ``_seed`` description, carry their
     :class:`~repro.obs.telemetry.RunTelemetry` as ``telemetry``, and
     record the step loop their last run used as ``backend_used``.
     """
     telemetry = getattr(engine, "telemetry", None)
     return RunManifest(
         command=command,
-        engine=_ENGINE_KINDS.get(
-            type(engine).__name__, type(engine).__name__
-        ),
+        engine=engine.kind,
         mesh=_mesh_dict(engine.mesh),
         workload=workload or _workload_description(engine),
         policy=engine.policy.name,

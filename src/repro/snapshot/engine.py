@@ -160,17 +160,12 @@ def _restore_observers(
 
 
 def _engine_kind(engine: Any) -> str:
-    """Classify an engine instance into its snapshot kind."""
-    name = type(engine).__name__
-    if name == "HotPotatoEngine":
-        return "hot-potato"
-    if name == "BufferedEngine":
-        return "buffered"
-    # Dynamic engines subclass DynamicEngineBase and declare
-    # ``buffered``; accept any subclass.
-    if hasattr(engine, "traffic") and hasattr(engine, "_source"):
-        return "buffered-dynamic" if engine.buffered else "dynamic"
-    raise TypeError(f"cannot snapshot a {name}")
+    """The engine's snapshot kind: its class's declared ``kind``, so a
+    subclass checkpoints as the engine it configures."""
+    kind: str = getattr(engine, "kind", "")
+    if kind not in _BATCH_KINDS + _DYNAMIC_KINDS:
+        raise TypeError(f"cannot snapshot an engine of kind {kind!r}")
+    return kind
 
 
 # ----------------------------------------------------------------------

@@ -105,91 +105,69 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
         ),
     ),
     _spec(
-        "core.engine",
-        "HotPotatoEngine",
-        fields=("rng", "packets", "telemetry", "_metrics"),
+        "core.chassis",
+        "EngineBase",
+        fields=("rng", "telemetry"),
         derived=(
+            "kind",
+            "buffered",
+            "node_order",
+            "set_entry_direction",
+            "validators",
             "backend",
             "_soa_adapter",
             "backend_used",
-            "problem",
             "mesh",
             "policy",
             "_seed",
-            "validators",
             "observers",
-            "max_steps",
-            "record_steps",
-            "raise_on_timeout",
-            "fast_path",
             "profiler",
             "faults",
             "watchdog",
             "checkpoint_every",
             "on_checkpoint",
-            "_records",
             "_summary_sinks",
             "_emit",
             "_started",
             "_resumed",
             "_kernel",
+        ),
+    ),
+    _spec(
+        "core.chassis",
+        "BatchEngineBase",
+        # Step records stay out: snapshots refuse record_steps runs.
+        fields=("packets", "_metrics"),
+        derived=(
+            "problem",
+            "validators",
+            "max_steps",
+            "raise_on_timeout",
+            "_records",
+        ),
+    ),
+    _spec(
+        "core.engine",
+        "HotPotatoEngine",
+        derived=(
+            "kind",
+            "node_order",
+            "set_entry_direction",
+            "record_steps",
+            "fast_path",
+            "_records",
         ),
     ),
     _spec(
         "core.buffered_engine",
         "BufferedEngine",
-        fields=("rng", "packets", "telemetry", "_metrics"),
-        derived=(
-            "backend",
-            "_soa_adapter",
-            "backend_used",
-            "problem",
-            "mesh",
-            "policy",
-            "_seed",
-            "validators",
-            "observers",
-            "max_steps",
-            "raise_on_timeout",
-            "profiler",
-            "faults",
-            "watchdog",
-            "checkpoint_every",
-            "on_checkpoint",
-            "_summary_sinks",
-            "_emit",
-            "_started",
-            "_resumed",
-            "_kernel",
-        ),
+        derived=("kind", "buffered"),
     ),
     _spec(
         "dynamic.base",
         "DynamicEngineBase",
-        fields=("rng", "telemetry", "_stats"),
-        derived=(
-            "buffered",
-            "backend",
-            "_soa_adapter",
-            "backend_used",
-            "mesh",
-            "policy",
-            "traffic",
-            "_seed",
-            "warmup",
-            "observers",
-            "profiler",
-            "faults",
-            "watchdog",
-            "checkpoint_every",
-            "on_checkpoint",
-            "_source",
-            "_summary_sinks",
-            "_emit",
-            "_started",
-            "_resumed",
-            "_kernel",
-        ),
+        fields=("_stats",),
+        derived=("traffic", "warmup", "_source"),
     ),
     _spec(
         "dynamic.sources",

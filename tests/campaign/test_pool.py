@@ -15,6 +15,8 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import pytest
@@ -262,6 +264,29 @@ class TestCrashRecovery:
             )
         clean = WorkerPool(workers=1).run_batch(specs, execute_chunk)
         assert crashed == clean
+
+    def test_pool_broken_between_submissions_leaves_chunks_pending(
+        self, monkeypatch
+    ):
+        # A worker that dies while chunks are still being submitted
+        # makes the next submit() raise.  That chunk and the ones after
+        # it were never sent: they stay pending for the retry pass and
+        # count no attempt until they are.
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def breaking_submit(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died mid-submission")
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+        with WorkerPool(workers=2, retries=2, backoff=0) as pool:
+            results = pool.run_batch(list(range(6)), _double_chunk)
+        assert results == [2 * item for item in range(6)]
+        assert pool.degraded
+        assert pool.attempts == {index: 1 for index in range(6)}
 
     def test_retries_zero_falls_back_to_serial(self, tmp_path):
         sentinel = str(tmp_path / "crashed")

@@ -292,13 +292,13 @@ class TestFastPathEligibility:
             seed=0,
             validators=validators_for(policy, strict=False),
         )
-        assert engine._fast_path_eligible()
+        assert engine._lean()
 
     def test_strict_validators_force_instrumented(self):
         problem = random_many_to_many(Mesh(2, 8), k=16, seed=0)
         policy = make_policy("restricted-priority")
         engine = HotPotatoEngine(problem, policy, seed=0)
-        assert not engine._fast_path_eligible()
+        assert not engine._lean()
 
     def test_record_steps_forces_instrumented(self):
         problem = random_many_to_many(Mesh(2, 8), k=16, seed=0)
@@ -306,7 +306,7 @@ class TestFastPathEligibility:
         engine = HotPotatoEngine(
             problem, policy, seed=0, validators=[], record_steps=True
         )
-        assert not engine._fast_path_eligible()
+        assert not engine._lean()
 
     def test_observers_force_instrumented(self):
         problem = random_many_to_many(Mesh(2, 8), k=16, seed=0)
@@ -314,7 +314,7 @@ class TestFastPathEligibility:
         engine = HotPotatoEngine(
             problem, policy, seed=0, validators=[], observers=[RunObserver()]
         )
-        assert not engine._fast_path_eligible()
+        assert not engine._lean()
 
     def test_fast_path_true_raises_when_ineligible(self):
         problem = random_many_to_many(Mesh(2, 8), k=16, seed=0)
@@ -331,7 +331,7 @@ class TestFastPathEligibility:
         engine = HotPotatoEngine(
             problem, policy, seed=0, validators=[], fast_path=False
         )
-        assert not engine._fast_path_eligible()
+        assert not engine._lean()
 
 
 class TestSeedDescription:

@@ -1,5 +1,6 @@
 """Property-based tests for the dynamic engines."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from repro.dynamic import (
     BufferedDynamicEngine,
     DynamicEngine,
 )
+from repro.faults import random_schedule
 from repro.mesh.topology import Mesh
 from tests.dynamic.rows import run_rows
 
@@ -104,3 +106,43 @@ class TestBufferedDynamicProperties:
         for generated_at, delivered_at, hops, _, shortest in deliveries:
             assert hops == shortest
             assert delivered_at - generated_at >= shortest
+
+
+class TestFaultedGenerationTable:
+    """The source keeps a generation time for exactly the packets in
+    flight, also when faults drop packets: a dropped packet is never
+    delivered, so the fault phase must forget it."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "engine_class,policy_class",
+        [
+            (DynamicEngine, RestrictedPriorityPolicy),
+            (BufferedDynamicEngine, DimensionOrderPolicy),
+        ],
+        ids=["dynamic", "buffered-dynamic"],
+    )
+    def test_one_entry_per_packet_in_flight(
+        self, engine_class, policy_class, seed
+    ):
+        mesh = Mesh(2, 8)
+        schedule = random_schedule(
+            mesh,
+            seed=seed + 1,
+            link_faults=2,
+            node_faults=2,
+            packet_drops=6,
+            horizon=200,
+            max_window=50,
+        )
+        engine = engine_class(
+            mesh,
+            policy_class(),
+            BernoulliTraffic(0.2),
+            seed=seed,
+            faults=schedule,
+        )
+        for _ in range(6):
+            engine.run(50)
+            assert len(engine._generated_at) == len(engine.in_flight)
+        assert engine.telemetry.dropped > 0, "the schedule dropped nothing"

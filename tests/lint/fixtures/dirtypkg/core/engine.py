@@ -17,10 +17,10 @@ class HotPotatoEngine:
     MAX_WARMUP = 16
 
     def __init__(self, problem, policy):
-        # Clean: both appear in the registry (packets in fields,
-        # policy in derived).
-        self.packets = []
-        self.policy = policy
+        # Clean: both appear in the registry (record_steps and
+        # fast_path in derived).
+        self.record_steps = False
+        self.fast_path = None
         # SNP701 fire: mutable run state assigned in __init__ but
         # absent from both the fields and the derived sets.
         self._mystery_cache = {}

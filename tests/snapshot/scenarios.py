@@ -34,6 +34,14 @@ BATCH_KINDS = ("hot-potato", "buffered")
 DYNAMIC_KINDS = ("dynamic", "buffered-dynamic")
 BACKENDS = ("object", "soa")
 
+#: The engine class each kind's scenario builds by default.
+ENGINE_CLASSES = {
+    "hot-potato": HotPotatoEngine,
+    "buffered": BufferedEngine,
+    "dynamic": DynamicEngine,
+    "buffered-dynamic": BufferedDynamicEngine,
+}
+
 ALL_COMBOS = [
     (kind, backend)
     for kind in BATCH_KINDS + DYNAMIC_KINDS
@@ -66,27 +74,34 @@ def make_engine(
     faults=None,
     side=6,
     k=30,
+    observers=(),
+    engine_class=None,
 ):
-    """Build a fresh engine of ``kind`` on ``backend``."""
+    """Build a fresh engine of ``kind`` on ``backend``; ``engine_class``
+    (default :data:`ENGINE_CLASSES`) may be any subclass of the kind's
+    engine."""
+    cls = engine_class or ENGINE_CLASSES[kind]
     if kind in BATCH_KINDS:
         mesh = Mesh(2, side)
         problem = random_many_to_many(mesh, k=k, seed=5)
         if kind == "buffered":
-            return BufferedEngine(
+            return cls(
                 problem,
                 DimensionOrderPolicy(),
                 seed=seed,
+                observers=observers,
                 backend=backend,
                 faults=faults,
                 checkpoint_every=every,
                 on_checkpoint=on_checkpoint,
             )
         policy = make_policy("restricted-priority")
-        return HotPotatoEngine(
+        return cls(
             problem,
             policy,
             seed=seed,
             validators=validators_for(policy, strict=False),
+            observers=observers,
             backend=backend,
             faults=faults,
             checkpoint_every=every,
@@ -94,7 +109,6 @@ def make_engine(
         )
     mesh = Mesh(2, 5)
     traffic = BernoulliTraffic(0.1)
-    cls = BufferedDynamicEngine if kind == "buffered-dynamic" else DynamicEngine
     policy = (
         DimensionOrderPolicy()
         if kind == "buffered-dynamic"
@@ -106,6 +120,7 @@ def make_engine(
         traffic,
         seed=seed,
         warmup=3,
+        observers=observers,
         backend=backend,
         faults=faults,
         checkpoint_every=every,
