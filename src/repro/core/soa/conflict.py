@@ -17,13 +17,16 @@ pipeline is preserved bit-for-bit:
   shuffles through the caller-supplied policy RNG so the sanctioned
   stream advances exactly as in the object kernel.
 
-This is the columnar loop's per-node decision and the vectorized
-loop's fallback for the nodes its rank rounds mark hard, so the
-matching routines are written allocation-light: direction state lives
-in small lists indexed by direction (at most ``2 * dimension`` slots)
-and int bitmasks, and the ubiquitous uncontended case — a row whose
-lowest good direction is still free — short-circuits past the
-augmentation machinery entirely.
+This is the columnar loop's per-node decision, and the only source of
+the numpy step's answers: its decision table
+(:class:`~repro.core.soa.kernel.DecisionTable`) calls
+:func:`resolve_node` once per node key it has not met before, and for
+every node too full for a key, and serves the stored answer for every
+later node with that key.  The matching routines are written
+allocation-light: direction state lives in small lists indexed by
+direction (at most ``2 * dimension`` slots) and int bitmasks, and the
+ubiquitous uncontended case — a row whose lowest good direction is
+still free — short-circuits past the augmentation machinery entirely.
 """
 
 from __future__ import annotations

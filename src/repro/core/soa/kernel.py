@@ -8,17 +8,22 @@ state held in flat columns (:class:`PacketColumns`) instead of
 * *rank* becomes one stable argsort over composite ``node * codes +
   priority_code`` keys (the per-node priority orders fall out of the
   segmentation of the sorted order);
-* *arc_assign* becomes a batched good-direction selection: good masks
-  and distances for every packet arrive from ``d`` gathers into the
-  mesh's per-axis packed tables
-  (:meth:`~repro.mesh.topology.Mesh.arc_tables`).  *Rank rounds* then
-  settle every node at once: round ``j`` gives the ``j``-th row, in
-  priority order, of each node still marked easy its lowest good
-  direction, provided that bit is still free in the node's taken
-  mask.  A taken bit, or a row with no good direction, marks the node
-  *hard*.  An easy node's answer is exactly the matching's own fast
-  path, so only hard nodes replay the integer matching-and-deflection
-  pipeline of :mod:`.conflict`.
+* *arc_assign* becomes a table lookup: good masks and distances for
+  every packet arrive from ``d`` gathers into the mesh's per-axis
+  packed tables (:meth:`~repro.mesh.topology.Mesh.arc_tables`).  A
+  row alone at its node takes its lowest good direction; every node
+  holding two or more rows gets its whole assignment from a
+  :class:`DecisionTable`, keyed by exactly what the scalar
+  matching-and-deflection pipeline of :mod:`.conflict` reads there
+  (the rows' good masks in priority order, their count, the node's
+  out mask and, under ``reverse`` deflection, the rows' entry
+  directions).  A key the table lacks is solved from the node's rows
+  by :func:`~.conflict.resolve_node` and inserted in place, so the
+  table only ever holds the scalar reference's answers.  A node too
+  full for a 63-bit key is solved the same way and never stored.
+  Tables are cached per mesh shape and per matching/deflection rule
+  beside the numpy views of the arc tables, so every checkpoint
+  segment, engine and campaign case of a process shares them.
 
 Two execution paths share the loop structure:
 
@@ -55,6 +60,7 @@ handling, result building) work unchanged.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import lshift
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.kernel import PhaseSink, StepKernel, StepSummary
@@ -78,32 +84,46 @@ __all__ = ["SoaKernel", "VECTOR_MIN_ROWS"]
 #: of small array calls, and the columnar loop a cost per packet.
 #: Median time of one profiled step at ``k`` live packets in
 #: microseconds, numpy / columnar, on a 2-vCPU Xeon VM (Python 3.11.7,
-#: numpy 2.4.6), restricted-priority and dimension-order:
+#: numpy 2.4.6), restricted-priority on a warm decision table and
+#: dimension-order, the two loops alternating sample by sample (median
+#: of three runs of 301 samples):
 #:
 #:     side    k   hot-potato     buffered
-#:        8   16    138 / 74      169 / 70
-#:        8   32    167 / 156     120 / 100
-#:        8   64    223 / 276     201 / 196
-#:       16   16    101 / 62       99 / 45
-#:       16   32     99 / 107     123 / 83
-#:       16   64    136 / 200     184 / 231
-#:       16  128    186 / 383     218 / 445
-#:       32   32    126 / 124     224 / 144
-#:       32   64    159 / 236     237 / 249
-#:       32  128    202 / 560     176 / 277
+#:        8   16    165 / 80      150 / 67
+#:        8   32    210 / 146     166 / 123
+#:        8   64    257 / 247     160 / 165
+#:       16   16    113 / 57      100 / 47
+#:       16   32    178 / 121     154 / 107
+#:       16   64    221 / 235     167 / 173
+#:       16  128    255 / 448     158 / 328
+#:       32   32    209 / 144     190 / 122
+#:       32   64    221 / 251     196 / 204
+#:       32  128    201 / 324     190 / 315
 #:
-#: The hot-potato step crosses near 32 packets on every side, the
-#: buffered step between 48 and 64.  Whole runs of the Theorem-20
-#: sweep (sides 8/12/16, k = 8..N doubling, six seeds) plus four
-#: buffered side-16 k = 128 runs, thresholds alternated in one process,
-#: time ratio and pairs won: 32 vs 64 0.92 (27/40), 32 vs 48 0.97
-#: (23/40), 24 vs 32 0.99 (31/60), 32 vs 40 1.02 (24/60).  Flat from
-#: 24 to 48, slower at 64.
+#: The first step of a batch crosses near 64 packets for both
+#: disciplines.  Whole runs of the Theorem-20 sweep (sides 8/12/16,
+#: k = 8..N doubling, six seeds) plus four buffered side-16 k = 128
+#: runs, thresholds alternated in one process, time ratio against 32
+#: and passes won: 16 1.03 (9/40), 24 1.01 (19/40), 48 1.00 (19/40),
+#: 64 1.04 (11/40).  Flat from 24 to 48, slower at 16 and 64.
 VECTOR_MIN_ROWS = 32
 
 
+#: Up to this many keys a :class:`DecisionTable` inserts new answers
+#: in the step that solved them.  A larger table batches them, because
+#: each insert copies its columns: a cold ``Mesh(3, 8)`` Bernoulli-0.2
+#: run meets ~31k keys in 600 steps, and inserting them step by step
+#: took longer than solving them.
+SMALL_TABLE = 4096
+
+
 def _table_views(tables: ArcTables, np: Any) -> Dict[str, Any]:
-    """Numpy views of the flat tables, cached on the tables object."""
+    """Numpy views of the flat tables, cached on the tables object.
+
+    ``"decisions"`` holds the shape's :class:`DecisionTable` per
+    ``(first_fit, deflection)``, so every kernel that steps this shape
+    in the process shares what the others have solved.
+    """
     views = tables.backend_views
     if views is None or views.get("kind") != "numpy":
         views = {
@@ -117,9 +137,290 @@ def _table_views(tables: ArcTables, np: Any) -> Dict[str, Any]:
                 for table in tables.packed
             ],
             "nbr": np.asarray(tables.neighbor_flat, dtype=np.int64),
+            "out_mask": np.asarray(tables.out_mask, dtype=np.int64),
+            "decisions": {},
         }
         tables.backend_views = views
     return views
+
+
+def _decision_table(
+    views: Dict[str, Any],
+    np: Any,
+    num_directions: int,
+    first_fit: bool,
+    deflection: str,
+) -> "DecisionTable":
+    """The shape's table for one matching and deflection rule."""
+    tables: Dict[Tuple[bool, str], DecisionTable] = views["decisions"]
+    table = tables.get((first_fit, deflection))
+    if table is None:
+        table = DecisionTable(np, num_directions, first_fit, deflection)
+        tables[(first_fit, deflection)] = table
+    return table
+
+
+class DecisionTable:
+    """Per-node assignments of the numpy step, solved once per shape.
+
+    :func:`~.conflict.resolve_node` is a pure function of what it
+    reads at a node: the rows' good masks in priority order, their
+    count, the node's out mask and, under ``reverse`` deflection only,
+    the rows' entry directions.  The table packs exactly that into one
+    int64 *key* per node and maps it to a *value* packing the node's
+    directions, row ``j`` (priority order) in bits ``j * b .. j * b +
+    b - 1``, or :attr:`INVALID` when the assignment is incomplete
+    (more rows than out arcs).  Keys sit in a sorted column searched
+    with ``np.searchsorted``; only :meth:`_solve`, calling
+    ``resolve_node``, ever adds to it, so an answer served from the
+    table is the scalar reference's by construction.
+
+    Key layout, low bits first: the row count (:attr:`count_bits`),
+    the out mask (``2d`` bits), then one slot of :attr:`slot_bits` per
+    row holding its good mask and, under ``reverse``, ``entry + 1``
+    above it.  A node with more than :attr:`max_rows` rows has no key
+    that fits in 63 bits; it is solved from its rows every time and
+    never stored.
+
+    New answers collect in :attr:`pending`, where a missed node is
+    looked up before it is solved, and :meth:`flush` inserts them at
+    their sorted positions: in the same step while the table holds at
+    most :data:`SMALL_TABLE` keys, otherwise once they number a
+    sixteenth of it, and at the end of every numpy run segment.
+    """
+
+    #: The value of a node whose assignment leaves a row unassigned.
+    INVALID = -1
+
+    __slots__ = (
+        "num_directions",
+        "first_fit",
+        "deflection",
+        "reverse",
+        "slot_bits",
+        "count_bits",
+        "base",
+        "max_rows",
+        "direction_bits",
+        "keys",
+        "values",
+        "pending",
+    )
+
+    def __init__(
+        self,
+        np: Any,
+        num_directions: int,
+        first_fit: bool,
+        deflection: str,
+    ) -> None:
+        self.num_directions = num_directions
+        self.first_fit = first_fit
+        self.deflection = deflection
+        self.reverse = deflection == "reverse"
+        entry_bits = num_directions.bit_length() if self.reverse else 0
+        self.slot_bits = num_directions + entry_bits
+        self.count_bits = (63 // self.slot_bits).bit_length()
+        self.base = self.count_bits + num_directions
+        self.max_rows = (63 - self.base) // self.slot_bits
+        self.direction_bits = max((num_directions - 1).bit_length(), 1)
+        # A -1 sentinel first: every key is non-negative, so a
+        # right-sided search minus one always lands on an entry.
+        self.keys: Any = np.full(1, -1, dtype=np.int64)
+        self.values: Any = np.full(1, self.INVALID, dtype=np.int64)
+        #: Solved keys not yet in the columns, key -> value.
+        self.pending: Dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return int(self.keys.shape[0]) - 1 + len(self.pending)
+
+    def resolve_nodes(
+        self,
+        np: Any,
+        order: Any,
+        good: Any,
+        entry: Any,
+        starts: Any,
+        counts: Any,
+        out_masks: Any,
+        max_load: int,
+    ) -> Tuple[Any, int]:
+        """Every row's direction, for one step's occupied nodes.
+
+        ``order`` sorts the rows by node and, within a node, by
+        priority; ``starts``/``counts`` segment it into nodes in
+        ascending node order, ``out_masks`` holds each node's out mask
+        and ``max_load`` the largest count.  ``good`` and ``entry`` are
+        the row-order good masks and entry directions.  Returns the
+        row-order directions and the index of the first node whose
+        assignment is invalid, ``-1`` when there is none.
+        """
+        sorted_good = good[order]
+        rank = np.arange(order.shape[0]) - np.repeat(starts, counts)
+        if max_load > self.max_rows:
+            rank = np.minimum(rank, self.max_rows)
+        word = sorted_good
+        sorted_entry = None
+        if self.reverse:
+            sorted_entry = entry[order]
+            word = sorted_good | (sorted_entry + 1) << self.num_directions
+        keys = np.add.reduceat(
+            word << rank * self.slot_bits + self.base, starts
+        )
+        keys |= out_masks << self.count_bits | counts
+        # A row alone at its node takes its lowest good direction.
+        first = sorted_good[starts]
+        values = np.subtract(
+            np.frexp(first & -first)[1], 1, dtype=np.int64
+        )
+        need = np.flatnonzero((counts > 1) | (first == 0))
+        wide: Optional[Tuple[Any, List[int]]] = None
+        invalid = -1
+        if need.size:
+            need_keys = keys[need]
+            at = np.searchsorted(self.keys, need_keys, side="right") - 1
+            found = self.values[at]
+            hit = self.keys[at] == need_keys
+            if max_load > self.max_rows:
+                hit &= counts[need] <= self.max_rows
+            if not hit.all():
+                missed = np.flatnonzero(~hit)
+                solved, wide = self._solve(
+                    np,
+                    need[missed],
+                    need_keys[missed],
+                    sorted_good,
+                    sorted_entry,
+                    starts,
+                    counts,
+                    out_masks,
+                )
+                found[missed] = solved
+            values[need] = found
+            if int(found.min()) < 0:
+                invalid = int(need[np.argmax(found < 0)])
+        sorted_dirs = np.repeat(values, counts) >> (
+            rank * self.direction_bits
+        )
+        sorted_dirs &= (1 << self.direction_bits) - 1
+        if wide is not None:
+            sorted_dirs[wide[0]] = wide[1]
+        dirs = np.empty_like(sorted_dirs)
+        dirs[order] = sorted_dirs
+        return dirs, invalid
+
+    def _solve(
+        self,
+        np: Any,
+        nodes: Any,
+        keys: Any,
+        good: Any,
+        entry: Optional[Any],
+        starts: Any,
+        counts: Any,
+        out_masks: Any,
+    ) -> Tuple[List[int], Optional[Tuple[Any, List[int]]]]:
+        """The column misses, answered from :attr:`pending` or solved
+        from their rows.
+
+        ``nodes`` are the missed segments and ``keys`` their keys;
+        ``good`` and, under ``reverse`` only, ``entry`` are in sorted
+        order.  Gathers the missed nodes' rows into a slot matrix and
+        calls ``resolve_node`` once per new key, and for every node too
+        wide for a key.  Returns each node's value and, when wide nodes
+        were solved, the sorted positions of their rows with the rows'
+        directions (a wide node's value is 0, or :attr:`INVALID`).
+        """
+        node_counts = counts[nodes]
+        slots = np.arange(int(node_counts.max()))
+        filled = slots < node_counts[:, None]
+        at = np.where(filled, starts[nodes][:, None] + slots, 0)
+        # Only the reverse rule reads entry directions.
+        entries: Iterable[Any] = (
+            repeat(()) if entry is None else entry[at].tolist()
+        )
+        first_fit = self.first_fit
+        deflection = self.deflection
+        max_rows = self.max_rows
+        shifts = range(0, 63, self.direction_bits)
+        pending = self.pending
+        solved: List[int] = []
+        wide_nodes: List[int] = []
+        wide_dirs: List[int] = []
+        for index, (key, count, out_mask, masks, arrived) in enumerate(
+            zip(
+                keys.tolist(),
+                node_counts.tolist(),
+                out_masks[nodes].tolist(),
+                good[at].tolist(),
+                entries,
+            )
+        ):
+            keyed = count <= max_rows
+            value = pending.get(key) if keyed else None
+            if value is None:
+                rows = range(count)
+                assignment = resolve_node(
+                    rows,
+                    rows,
+                    masks,
+                    arrived,
+                    out_mask,
+                    first_fit,
+                    deflection,
+                    None,
+                )
+                if len(assignment) < count:
+                    value = self.INVALID
+                elif keyed:
+                    value = sum(
+                        map(lshift, map(assignment.__getitem__, rows), shifts)
+                    )
+                else:
+                    value = 0
+                    wide_nodes.append(index)
+                    wide_dirs.extend(map(assignment.__getitem__, rows))
+                if keyed:
+                    pending[key] = value
+            solved.append(value)
+        # An insert copies both columns: a small table takes new keys
+        # at once, a large one once they number a sixteenth of it.
+        size = int(self.keys.shape[0])
+        if size <= SMALL_TABLE or len(pending) * 16 >= size:
+            self.flush(np)
+        if not wide_nodes:
+            return solved, None
+        picked = np.asarray(wide_nodes, dtype=np.int64)
+        return solved, (at[picked][filled[picked]], wide_dirs)
+
+    def flush(self, np: Any) -> None:
+        """Insert the :attr:`pending` answers at their sorted positions.
+
+        One mask of the grown columns serves both, so the columns are
+        copied once each; nothing already stored moves out of order.
+        """
+        pending = self.pending
+        if not pending:
+            return
+        self.pending = {}
+        count = len(pending)
+        new_keys = np.fromiter(pending, dtype=np.int64, count=count)
+        new_values = np.fromiter(
+            pending.values(), dtype=np.int64, count=count
+        )
+        fresh = np.argsort(new_keys, kind="stable")
+        new_keys = new_keys[fresh]
+        where = np.searchsorted(self.keys, new_keys) + np.arange(count)
+        kept = np.ones(self.keys.shape[0] + count, dtype=bool)
+        kept[where] = False
+        keys = np.empty(kept.shape[0], dtype=np.int64)
+        keys[kept] = self.keys
+        keys[where] = new_keys
+        values = np.empty_like(keys)
+        values[kept] = self.values
+        values[where] = new_values[fresh]
+        self.keys = keys
+        self.values = values
 
 
 class SoaKernel:
@@ -558,11 +859,11 @@ class SoaKernel:
         coords_v: List[Any] = views["coords"]
         packed_v: List[Any] = views["packed"]
         nbr_v: Any = views["nbr"]
+        out_mask_v: Any = views["out_mask"]
         dimension = tables.dimension
         side1 = tables.side + 1
         shift = tables.shift
         mask_all = tables.good_mask_all
-        out_mask_t = tables.out_mask
         index_node = tables.index_node
         two_d = tables.num_directions
         buffered = kernel.buffered
@@ -572,8 +873,9 @@ class SoaKernel:
         # A batch run leaves below the constant (always at zero); an
         # injecting run never leaves.
         min_rows = max(VECTOR_MIN_ROWS, 1) if source is None else 0
-        first_fit = adapter.first_fit
-        deflection = adapter.deflection
+        decisions = _decision_table(
+            views, np, two_d, adapter.first_fit, adapter.deflection
+        )
         code_kind = adapter.code_kind
         prefer_type_a = adapter.prefer_type_a
         directions = tables.directions
@@ -622,9 +924,7 @@ class SoaKernel:
                 )
                 injected = len(new_packets)
                 if new_packets:
-                    extra = PacketColumns(tables)
-                    for packet in new_packets:
-                        extra.append(packet)
+                    extra = PacketColumns.pack(new_packets, tables)
                     by_id.update(extra.by_id)
                     ids = np.concatenate(
                         [ids, np.asarray(extra.ids, dtype=np.int64)]
@@ -734,76 +1034,31 @@ class SoaKernel:
                     bad = counts > dimension
                     bad_nodes = int(bad.sum())
                     packets_in_bad = int(counts[bad].sum())
-                else:
-                    starts = np.empty(0, dtype=np.int64)
-                    counts = np.empty(0, dtype=np.int64)
-                    max_load = bad_nodes = packets_in_bad = 0
-
-                # Rank rounds: round j gives the j-th row (priority
-                # order) of every node still marked easy its lowest
-                # good direction while that bit is free in the node's
-                # taken mask.  That is kuhn_match's and
-                # first_fit_match's own fast path, and resolve_node
-                # returns it unchanged once every row matched (random
-                # deflection never reaches this path).  A taken bit,
-                # or a row with no good direction, marks the node
-                # hard; only hard nodes replay the scalar pipeline.
-                dirs = np.empty(m, dtype=np.int64)
-                low = gm & -gm
-                taken = np.zeros(starts.size, dtype=np.int64)
-                easy = np.ones(starts.size, dtype=bool)
-                live = np.arange(starts.size)
-                for rank in range(max_load):
-                    live = live[counts[live] > rank]
-                    rows = order[starts[live] + rank]
-                    bits = low[rows]
-                    free = (bits != 0) & ((taken[live] & bits) == 0)
-                    easy[live[~free]] = False
-                    live = live[free]
-                    bits = bits[free]
-                    taken[live] |= bits
-                    dirs[rows[free]] = np.log2(
-                        bits.astype(np.float64)
-                    ).astype(np.int64)
-                hard = np.flatnonzero(~easy)
-                if hard.size:
-                    order_l = order.tolist()
-                    gm_l = gm.tolist()
-                    entry_l = entry.tolist()
-                    starts_l = starts[hard].tolist()
-                    counts_l = counts[hard].tolist()
-                    nodes_l = spos[starts[hard]].tolist()
-                    assigned_rows: List[int] = []
-                    assigned_dirs: List[int] = []
-                    for seg_start, seg_count, node_idx in zip(
-                        starts_l, counts_l, nodes_l
-                    ):
-                        segment = order_l[
-                            seg_start : seg_start + seg_count
-                        ]
-                        assignment = resolve_node(
-                            segment,
-                            segment,
-                            gm_l,
-                            entry_l,
-                            out_mask_t[node_idx],
-                            first_fit,
-                            deflection,
-                            None,
+                    # A lone row takes its lowest good direction; every
+                    # other node's whole assignment comes from the
+                    # shape's decision table, which only resolve_node
+                    # fills.
+                    nodes = spos[starts]
+                    dirs, invalid = decisions.resolve_nodes(
+                        np,
+                        order,
+                        gm,
+                        entry,
+                        starts,
+                        counts,
+                        out_mask_v[nodes],
+                        max_load,
+                    )
+                    if invalid >= 0:
+                        raise ArcAssignmentError(
+                            f"step {step_index}: inconsistent "
+                            f"assignment at "
+                            f"{index_node[int(nodes[invalid])]} "
+                            f"(soa kernel check)"
                         )
-                        if len(assignment) != seg_count:
-                            raise ArcAssignmentError(
-                                f"step {step_index}: inconsistent "
-                                f"assignment at "
-                                f"{index_node[node_idx]} "
-                                f"(soa kernel check)"
-                            )
-                        for row, direction in assignment.items():
-                            assigned_rows.append(row)
-                            assigned_dirs.append(direction)
-                    dirs[
-                        np.asarray(assigned_rows, dtype=np.int64)
-                    ] = np.asarray(assigned_dirs, dtype=np.int64)
+                else:
+                    dirs = np.empty(0, dtype=np.int64)
+                    max_load = bad_nodes = packets_in_bad = 0
 
                 adv_now = ((gm >> dirs) & 1).astype(bool)
                 advancing = int(adv_now.sum())
@@ -903,6 +1158,7 @@ class SoaKernel:
                 packets_in_bad,
             )
 
+        decisions.flush(np)
         # Restore object-kernel state from the arrays (.tolist() yields
         # Python ints and bools).
         columns.ids = ids.tolist()

@@ -3,9 +3,9 @@
 :mod:`repro.core.soa.conflict` replays the object policies' per-node
 pipeline on integer state: rows for packets, direction indices for
 directions and bitmasks for good-direction sets.  The columnar loop
-runs it at every node, and the vectorized loop falls back to it at
-every node its rank rounds mark hard, so each helper is checked here
-against the object code it mirrors, on random nodes:
+runs it at every node, and the vectorized loop's decision table is
+filled by it alone (``test_soa_decisions.py``), so each helper is
+checked here against the object code it mirrors, on random nodes:
 
 * ``kuhn_match`` against ``priority_maximum_matching``;
 * ``first_fit_match`` against ``greedy_maximal_matching``;

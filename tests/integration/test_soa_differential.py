@@ -33,6 +33,7 @@ from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
 from repro.core.problem import RoutingProblem
 from repro.core.soa import _compat
+from repro.core.soa import kernel as soa_kernel
 from repro.core.validation import validators_for
 from repro.dynamic import BufferedDynamicEngine, DynamicEngine
 from repro.faults import FaultSchedule
@@ -167,8 +168,9 @@ class TestHotPotatoSoaDifferential:
 
 
 #: Every RNG-free hot-potato adapter configuration: the policies the
-#: vectorized path runs (its rank rounds plus the scalar fallback for
-#: hard nodes).
+#: vectorized path runs (lone rows take their lowest good direction,
+#: every other node its answer from the shape's decision table, which
+#: only ``resolve_node`` fills).
 RNG_FREE_POLICIES = (
     lambda: RestrictedPriorityPolicy(),
     lambda: RestrictedPriorityPolicy(prefer_type_a=False),
@@ -181,13 +183,16 @@ RNG_FREE_POLICIES = (
 
 
 class TestHeavyContentionSoaDifferential:
-    """soa == object where many nodes are hard.
+    """soa == object where many nodes are contended.
 
     ``_batch_problems`` draws small 2-D meshes with ``k <= N``, where a
     node whose rows clash on a lowest good direction is rare.  These
     fixed instances load meshes, a torus, a 3-D mesh and a hypercube
-    to ``k = N`` and ``k = 2N``, so the vectorized path's scalar
-    fallback runs at tens to thousands of nodes per case.
+    to ``k = N`` and ``k = 2N``, so the vectorized path's decision
+    table answers tens to thousands of contended nodes per case.  A
+    hypercube node's 12-bit masks make counts above four (three under
+    ``reverse``) too wide for a key; at ``k = 2N`` every policy meets
+    such nodes, which are solved from their rows and never stored.
     """
 
     @pytest.mark.parametrize(
@@ -199,13 +204,27 @@ class TestHeavyContentionSoaDifferential:
         (Mesh(2, 24), Torus(2, 13), Mesh(3, 7), Hypercube(6)),
         ids=("mesh2x24", "torus2x13", "mesh3x7", "hypercube6"),
     )
-    def test_soa_equals_object(self, mesh, load, policy_index):
+    def test_soa_equals_object(
+        self, mesh, load, policy_index, monkeypatch
+    ):
+        wide = []
+        if _compat.np is not None:
+            solve = soa_kernel.DecisionTable._solve
+
+            def counted(table, np, nodes, *args):
+                counts = args[4]
+                wide.append(int(counts[nodes].max()) > table.max_rows)
+                return solve(table, np, nodes, *args)
+
+            monkeypatch.setattr(soa_kernel.DecisionTable, "_solve", counted)
         make = RNG_FREE_POLICIES[policy_index]
         problem = random_many_to_many(mesh, k=load * mesh.num_nodes, seed=7)
         obj = _hot_potato(problem, make(), 7, "object")
         soa = _hot_potato(problem, make(), 7, "soa")
         assert obj.run() == soa.run()
         assert obj.telemetry == soa.telemetry
+        if _compat.np is not None and isinstance(mesh, Hypercube):
+            assert any(wide) or load == 1
 
     def test_kuhn_moves_the_holder_of_a_direction(self):
         # Plain greedy matches in id order.  Packet 0 (good: +x, +y)

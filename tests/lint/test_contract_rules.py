@@ -48,6 +48,15 @@ class TestExtractPhases:
         assert found["rank"][0] == 3
         assert found["arc_assign"][0] == 5
 
+    def test_arc_assign_marker_forms(self):
+        # The columnar loop resolves one node at a time; the numpy
+        # step asks its decision table for every node at once.
+        for call in ("resolve_node(rows)", "decisions.resolve_nodes(rows)"):
+            node = _function(
+                f"def loop(self, rows):\n    dirs = {call}\n", "loop"
+            )
+            assert set(extract_phases(node)) == {"arc_assign"}
+
     def test_move_marker_forms(self):
         aug = _function(
             "def loop(self, packet):\n    packet.hops += 1\n", "loop"
