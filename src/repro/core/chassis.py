@@ -41,6 +41,7 @@ from repro.core.events import RunObserver
 from repro.core.kernel import (
     AnyPolicy,
     InjectionSource,
+    OnDeliver,
     PhaseSink,
     StepKernel,
     StepSummary,
@@ -88,7 +89,8 @@ class EngineBase(ABC):
     builds the kernel.  The arguments are the engines' options (see
     :class:`~repro.core.engine.HotPotatoEngine`) plus a dynamic
     engine's kernel wiring: ``injection``, its packet source, and
-    ``on_deliver``, called with each packet the kernel absorbs.
+    ``on_deliver``, called with each step's absorbed packets as
+    columns.
     """
 
     #: The engine's name in the CLI's vocabulary, in snapshot payloads
@@ -119,7 +121,7 @@ class EngineBase(ABC):
         on_checkpoint: Optional[Callable[[Dict[str, Any]], None]],
         record_paths: bool = False,
         injection: Optional[InjectionSource] = None,
-        on_deliver: Optional[Callable[[Packet], None]] = None,
+        on_deliver: Optional[OnDeliver] = None,
     ) -> None:
         if backend not in ("auto", "object", "soa"):
             raise ValueError(

@@ -172,13 +172,32 @@ def metrics_emitter(
     return emit
 
 
+#: What :meth:`InjectionSource.admit_batch` returns for one step:
+#: ``(generated, ids, sources, destinations)``, the admitted packets as
+#: rows in ascending id order, nodes as indices in ``mesh.nodes()``
+#: order.
+AdmittedRows = Tuple[int, List[PacketId], List[int], List[int]]
+
+#: The kernel's delivery callback: one step's deliveries as columns in
+#: ascending id order, ``(ids, delivered_at, hops, deflections,
+#: shortest)``; ``delivered_at`` is the kernel's clock, ``shortest``
+#: each packet's source-to-destination distance.
+OnDeliver = Callable[
+    [List[PacketId], int, List[int], List[int], List[int]], None
+]
+
+
 class InjectionSource(ABC):
     """Feeds new packets into a kernel run (the dynamic engines).
 
-    Implementations own the demand process and the packet-id counter;
-    the kernel only sees packets appended to ``in_flight``.  Concrete
-    sources live in :mod:`repro.dynamic.sources` — the core layer
-    defines the interface so it never imports the dynamic layer.
+    Implementations own the demand process and the packet-id counter.
+    They admit packets as rows (:meth:`admit_batch`), which the array
+    kernel appends to its columns as they are; the object loops call
+    :meth:`admit`, which builds a ``Packet`` per row.  Nodes are
+    numbered in ``mesh.nodes()`` order, the order of the mesh's arc
+    tables.  Concrete sources live in :mod:`repro.dynamic.sources` —
+    the core layer defines the interface so it never imports the
+    dynamic layer.
     """
 
     #: Generation step of every injected packet still in the network.
@@ -186,22 +205,61 @@ class InjectionSource(ABC):
     #: generation); the fault phase forgets the entries of the packets
     #: it drops.
     generated_at: Dict[PacketId, int]
+    #: The mesh's nodes in ``mesh.nodes()`` order and each one's
+    #: index, set by :meth:`prepare`.
+    _nodes: List[Node]
+    _index: Dict[Node, int]
 
     def prepare(self, mesh: Mesh, rng: random.Random) -> None:
         """Called once before the first step."""
 
     @abstractmethod
-    def admit(self, time: int, in_flight: List[Packet]) -> Tuple[int, int]:
-        """Generate demand for ``time`` and inject what fits.
+    def admit_batch(self, time: int, loads: Sequence[int]) -> AdmittedRows:
+        """Generate demand for ``time`` and admit what fits.
 
-        Injected packets are appended to ``in_flight`` (the kernel
-        seeds their distance bookkeeping from the list tail).  Returns
-        ``(generated, injected)`` counts for this step.
+        ``loads[i]`` is the number of packets at node index ``i``
+        before injection.  Returns the step's generated count and the
+        admitted packets as rows (see :data:`AdmittedRows`); each
+        admitted packet starts at its source with no step history.
         """
+
+    def admit(self, time: int, in_flight: List[Packet]) -> Tuple[int, int]:
+        """The object loops' inject phase: :meth:`admit_batch` against
+        the loads of ``in_flight``, one ``Packet`` per admitted row
+        appended to it (the kernel seeds their distance bookkeeping
+        from the list tail).  Returns ``(generated, injected)``."""
+        nodes = self._nodes
+        index = self._index
+        loads = [0] * len(nodes)
+        for packet in in_flight:
+            loads[index[packet.location]] += 1
+        generated, ids, sources, destinations = self.admit_batch(time, loads)
+        in_flight.extend(
+            Packet(id=packet_id, source=nodes[at], destination=nodes[to])
+            for packet_id, at, to in zip(ids, sources, destinations)
+        )
+        return generated, len(ids)
 
     def backlog_size(self) -> int:
         """Packets generated but not yet injected (0 when unbuffered)."""
         return 0
+
+
+def deliver_columns(
+    on_deliver: OnDeliver,
+    packets: List[Packet],
+    now: int,
+    distance: Callable[[Node, Node], int],
+) -> None:
+    """The object loops' delivery call: one step's absorbed ``packets``
+    (in ``in_flight`` order, so ascending id) as columns."""
+    on_deliver(
+        [packet.id for packet in packets],
+        now,
+        [packet.hops for packet in packets],
+        [packet.deflections for packet in packets],
+        [distance(packet.source, packet.destination) for packet in packets],
+    )
 
 
 def lean_equivalent(
@@ -278,8 +336,9 @@ class StepKernel:
         record_paths: append each move to ``packet.path``.
         emit: per-step :class:`StepSummary` sink used by the lean loop
             (the instrumented step *returns* its summary instead).
-        on_deliver: called with each packet the moment it is absorbed
-            (the dynamic engines record latency statistics here).
+        on_deliver: called once per step that absorbs packets, with
+            the step's deliveries as columns (see :data:`OnDeliver`;
+            the dynamic engines record latency statistics here).
             Engines pass closures over their own state for both
             callbacks, never their bound methods, so engine and kernel
             form no reference cycle.
@@ -308,7 +367,7 @@ class StepKernel:
         set_entry_direction: bool = True,
         record_paths: bool = False,
         emit: Optional[Callable[[StepSummary], None]] = None,
-        on_deliver: Optional[Callable[[Packet], None]] = None,
+        on_deliver: Optional[OnDeliver] = None,
         telemetry: Optional["RunTelemetry"] = None,
         faults: Optional["ActiveFaults"] = None,
         watchdog: Optional["RunWatchdog"] = None,
@@ -670,8 +729,8 @@ class StepKernel:
             for packet in arrived:
                 packet.delivered_at = now
                 del dist[packet.id]
-                if on_deliver is not None:
-                    on_deliver(packet)
+            if arrived and on_deliver is not None:
+                deliver_columns(on_deliver, arrived, now, distance)
             self.in_flight = remaining
             delivered_count = len(arrived)
             self.delivered_total += delivered_count
@@ -918,9 +977,8 @@ class StepKernel:
         # total assignment.
         partial = buffered or self.faults is not None
         set_entry = self.set_entry_direction
-        on_deliver = self.on_deliver
         dist = self._dist
-        delivered: List[PacketId] = []
+        delivered: List[Packet] = []
         remaining: List[Packet] = []
         for packet in self.in_flight:
             info = infos.get(packet.id) if partial else infos[packet.id]
@@ -941,15 +999,16 @@ class StepKernel:
                     packet.path.append(info.next_node)
             if packet.location == packet.destination:
                 packet.delivered_at = now
-                delivered.append(packet.id)
+                delivered.append(packet)
                 del dist[packet.id]
-                if on_deliver is not None:
-                    on_deliver(packet)
             else:
                 remaining.append(packet)
         self.in_flight = remaining
         self.delivered_total += len(delivered)
-        return tuple(delivered)
+        on_deliver = self.on_deliver
+        if delivered and on_deliver is not None:
+            deliver_columns(on_deliver, delivered, now, self.mesh.distance)
+        return tuple(packet.id for packet in delivered)
 
 
 def build_run_result(

@@ -11,14 +11,18 @@ step kernels operate on integers only.
 The columns are the interchange format between the object and array
 worlds: :meth:`pack` snapshots live ``Packet`` objects (without
 mutating them), :meth:`writeback_row` / :meth:`unpack` write column
-state back into the same objects.  The numpy path converts these lists
-to arrays on entry and back on exit; the pure-Python fallback loops
-over them directly.
+state back into the same objects.  A run fed by an injection source
+also carries each row's source node (:attr:`sources`): the source
+admits packets as rows (:meth:`append_rows`) with no ``Packet``
+behind them, and :meth:`writeback_row` builds one only when such a
+row is written back at the end of a run segment.  The numpy path
+converts these lists to arrays on entry and back on exit; the
+pure-Python fallback loops over them directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.packet import Packet
 from repro.mesh.tables import ArcTables, direction_index
@@ -42,10 +46,11 @@ class PacketColumns:
         "hops",
         "advances",
         "deflections",
+        "sources",
         "by_id",
     )
 
-    def __init__(self, tables: ArcTables) -> None:
+    def __init__(self, tables: ArcTables, sources: bool = False) -> None:
         self.tables = tables
         self.ids: List[PacketId] = []
         #: Node index of the packet's current location.
@@ -64,8 +69,11 @@ class PacketColumns:
         self.hops: List[int] = []
         self.advances: List[int] = []
         self.deflections: List[int] = []
-        #: The live Packet object behind each id, for delivery
-        #: callbacks and final unpacking.
+        #: Node index of the packet's source, carried only by runs
+        #: that admit rows or report deliveries (None otherwise).
+        self.sources: Optional[List[int]] = [] if sources else None
+        #: The live Packet object behind each packed id, for batch
+        #: delivery and final unpacking; admitted rows have none.
         self.by_id: Dict[PacketId, Packet] = {}
 
     def __len__(self) -> int:
@@ -73,12 +81,15 @@ class PacketColumns:
 
     @classmethod
     def pack(
-        cls, packets: Iterable[Packet], tables: ArcTables
+        cls,
+        packets: Iterable[Packet],
+        tables: ArcTables,
+        sources: bool = False,
     ) -> "PacketColumns":
-        """Snapshot live packets into columns (packets unmodified).
+        """Snapshot live packets into columns (packets unmodified),
+        with a :attr:`sources` column when ``sources`` is set.
 
-        Builds each column with one comprehension; the rows equal
-        :meth:`append` called packet by packet.
+        Builds each column with one comprehension.
         """
         rows = list(packets)
         node_index = tables.node_index
@@ -104,32 +115,50 @@ class PacketColumns:
         columns.hops = [packet.hops for packet in rows]
         columns.advances = [packet.advances for packet in rows]
         columns.deflections = [packet.deflections for packet in rows]
+        if sources:
+            columns.sources = [node_index[packet.source] for packet in rows]
         columns.by_id = dict(zip(columns.ids, rows))
         return columns
 
-    def append(self, packet: Packet) -> None:
-        """Add one packet as the last row: the path of packets
-        injected mid-run, and the row-by-row reference :meth:`pack`
-        must equal."""
-        node_index = self.tables.node_index
-        self.ids.append(packet.id)
-        self.pos.append(node_index[packet.location])
-        self.dest.append(node_index[packet.destination])
-        for axis in range(self.tables.dimension):
-            self.dest_coords[axis].append(packet.destination[axis])
-        entry = packet.entry_direction
-        self.entry.append(-1 if entry is None else direction_index(entry))
-        self.restricted_last.append(packet.restricted_last_step)
-        self.advanced_last.append(packet.advanced_last_step)
-        self.hops.append(packet.hops)
-        self.advances.append(packet.advances)
-        self.deflections.append(packet.deflections)
-        self.by_id[packet.id] = packet
+    def append_rows(
+        self,
+        ids: Sequence[PacketId],
+        sources: Sequence[int],
+        destinations: Sequence[int],
+    ) -> None:
+        """Add admitted packets as the last rows, with no ``Packet``
+        behind them: each sits at its source with no step history.
+        Needs the :attr:`sources` column."""
+        assert self.sources is not None, "columns carry no sources"
+        count = len(ids)
+        coords = self.tables.coords
+        self.ids.extend(ids)
+        self.pos.extend(sources)
+        self.dest.extend(destinations)
+        for axis, column in enumerate(self.dest_coords):
+            column.extend([coords[axis][node] for node in destinations])
+        self.entry.extend([-1] * count)
+        self.restricted_last.extend([False] * count)
+        self.advanced_last.extend([False] * count)
+        self.hops.extend([0] * count)
+        self.advances.extend([0] * count)
+        self.deflections.extend([0] * count)
+        self.sources.extend(sources)
 
     def writeback_row(self, row: int) -> Packet:
-        """Write row state back into its Packet object and return it."""
+        """Write row state back into its Packet object and return it;
+        an admitted row gets its Packet built here."""
         tables = self.tables
-        packet = self.by_id[self.ids[row]]
+        packet_id = self.ids[row]
+        packet = self.by_id.get(packet_id)
+        if packet is None:
+            assert self.sources is not None, "row has no packet or source"
+            packet = Packet(
+                id=packet_id,
+                source=tables.index_node[self.sources[row]],
+                destination=tables.index_node[self.dest[row]],
+            )
+            self.by_id[packet_id] = packet
         packet.location = tables.index_node[self.pos[row]]
         entry = self.entry[row]
         packet.entry_direction = (
@@ -147,11 +176,7 @@ class PacketColumns:
         return [self.writeback_row(row) for row in range(len(self.ids))]
 
     def compact(self, keep: List[bool]) -> None:
-        """Drop rows whose ``keep`` flag is False (delivered packets).
-
-        The corresponding ``by_id`` entries must already have been
-        popped by the caller's delivery processing.
-        """
+        """Drop rows whose ``keep`` flag is False (delivered packets)."""
         selected = [row for row, flag in enumerate(keep) if flag]
         self.ids = [self.ids[row] for row in selected]
         self.pos = [self.pos[row] for row in selected]
@@ -168,3 +193,6 @@ class PacketColumns:
         self.hops = [self.hops[row] for row in selected]
         self.advances = [self.advances[row] for row in selected]
         self.deflections = [self.deflections[row] for row in selected]
+        if self.sources is not None:
+            sources = self.sources
+            self.sources = [sources[row] for row in selected]

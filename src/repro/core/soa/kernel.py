@@ -45,16 +45,28 @@ and finishes the run, the same boundary a checkpoint segment crosses.
 
 Both paths are bit-identical to the object kernel: same
 :class:`StepSummary` stream, same :class:`RunTelemetry` counters, same
-packet outcomes, same ``on_deliver`` callback order (ascending packet
-id within a step), same final ``in_flight``/distance state.  The proof
-harness lives in ``tests/integration/test_soa_differential.py`` and
-the golden-fixture suite.
+packet outcomes, same ``on_deliver`` columns (one call per step that
+delivers, ascending packet id), same final ``in_flight``/distance
+state.  The proof harness lives in
+``tests/integration/test_soa_differential.py`` and the golden-fixture
+suite.
+
+A run fed by an injection source carries its packets as rows from
+admission to delivery.  The source admits rows (ids, source and
+destination node indices) against per-node loads, and both loops
+append them to their columns as they are; each delivering step hands
+``on_deliver`` the delivered rows' columns, with every shortest
+distance gathered from the packed tables at a per-row source column.
+A ``Packet`` is built only when a row is written back at the end of a
+run segment (a checkpoint, the end of a ``run`` call).  A batch run
+(no source) carries no source column: its delivered rows are written
+back into the problem's packets, which the run's result reads.
 
 The kernel's clock and delivery counters stay authoritative on the
 wrapped :class:`StepKernel` (``time``, ``delivered_total``), so engine
-callbacks (``on_deliver`` sees the packet written back, its
-``delivered_at`` the kernel's clock) and post-run logic (timeout
-handling, result building) work unchanged.
+callbacks (``on_deliver``'s ``delivered_at`` is the kernel's clock)
+and post-run logic (timeout handling, result building) work
+unchanged.
 """
 
 from __future__ import annotations
@@ -64,7 +76,6 @@ from operator import lshift
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.kernel import PhaseSink, StepKernel, StepSummary
-from repro.core.packet import Packet
 from repro.core.soa import _compat
 from repro.core.soa.adapters import (
     CODE_RANK,
@@ -75,7 +86,6 @@ from repro.core.soa.columns import PacketColumns
 from repro.core.soa.conflict import resolve_node
 from repro.exceptions import ArcAssignmentError
 from repro.mesh.tables import ArcTables
-from repro.types import Node
 
 __all__ = ["SoaKernel", "VECTOR_MIN_ROWS"]
 
@@ -499,24 +509,21 @@ class SoaKernel:
     # ------------------------------------------------------------------
 
     def _admit_batch(
-        self, loads: Dict[Node, int]
-    ) -> Tuple[int, List[Packet], int]:
-        """The inject phase against precomputed loads.
+        self, loads: List[int]
+    ) -> Tuple[int, List[int], List[int], List[int], int]:
+        """The inject phase against per-node loads (by node index).
 
-        Returns ``(generated, new_packets, backlog)``; the caller
-        appends the new packets to its columns.
+        Returns ``(generated, ids, sources, destinations, backlog)``:
+        the admitted packets as rows, which the caller appends to its
+        columns.
         """
         source = self.kernel.injection
         if source is None:
-            return 0, [], 0
-        admit_batch = getattr(source, "admit_batch", None)
-        if admit_batch is None:
-            raise ValueError(
-                f"injection source {type(source).__name__} does not "
-                "support the array kernel (no admit_batch)"
-            )
-        generated, new_packets = admit_batch(self.kernel.time, loads)
-        return generated, new_packets, source.backlog_size()
+            return 0, [], [], [], 0
+        generated, ids, sources, destinations = source.admit_batch(
+            self.kernel.time, loads
+        )
+        return generated, ids, sources, destinations, source.backlog_size()
 
     def _writeback(
         self, columns: PacketColumns
@@ -599,7 +606,9 @@ class SoaKernel:
         sorted_order = kernel.sorted_order
         set_entry = kernel.set_entry_direction
         on_deliver = kernel.on_deliver
-        stop_when_empty = kernel.injection is None
+        source = kernel.injection
+        stop_when_empty = source is None
+        num_nodes = tables.num_nodes
         first_fit = adapter.first_fit
         deflection = adapter.deflection
         shuffle_ties = adapter.tie_break == "random"
@@ -607,7 +616,11 @@ class SoaKernel:
         prefer_type_a = adapter.prefer_type_a
         clock = profiler.clock if profiler is not None else None
 
-        columns = PacketColumns.pack(kernel.in_flight, tables)
+        columns = PacketColumns.pack(
+            kernel.in_flight,
+            tables,
+            sources=source is not None or on_deliver is not None,
+        )
         ids = columns.ids
         pos = columns.pos
         dest = columns.dest
@@ -618,20 +631,28 @@ class SoaKernel:
         hops = columns.hops
         adv = columns.advances
         defl = columns.deflections
+        srcs = columns.sources
         by_id = columns.by_id
 
         while kernel.time < until:
             if stop_when_empty and not pos:
                 break
             t0 = clock() if clock is not None else 0
-            loads: Dict[Node, int] = {}
-            for node_idx in pos:
-                node = index_node[node_idx]
-                loads[node] = loads.get(node, 0) + 1
-            generated, new_packets, backlog = self._admit_batch(loads)
-            for packet in new_packets:
-                columns.append(packet)
-            injected = len(new_packets)
+            generated = injected = backlog = 0
+            if source is not None:
+                loads = [0] * num_nodes
+                for node_idx in pos:
+                    loads[node_idx] += 1
+                (
+                    generated,
+                    new_ids,
+                    new_sources,
+                    new_dests,
+                    backlog,
+                ) = self._admit_batch(loads)
+                if new_ids:
+                    columns.append_rows(new_ids, new_sources, new_dests)
+                injected = len(new_ids)
             t1 = clock() if clock is not None else 0
 
             step_index = kernel.time
@@ -788,20 +809,39 @@ class SoaKernel:
 
             # Deliver, ascending row order (= in_flight order).
             now = kernel.time
-            delivered_count = 0
-            keep: Optional[List[bool]] = None
-            for row in range(len(pos)):
-                if pos[row] == dest[row]:
-                    if keep is None:
-                        keep = [True] * len(pos)
+            delivered = [
+                row for row in range(len(pos)) if pos[row] == dest[row]
+            ]
+            delivered_count = len(delivered)
+            if delivered:
+                if source is None:
+                    # A batch run's result reads the problem's packets.
+                    for row in delivered:
+                        packet = columns.writeback_row(row)
+                        del by_id[packet.id]
+                        packet.delivered_at = now
+                if on_deliver is not None:
+                    assert srcs is not None
+                    on_deliver(
+                        [ids[row] for row in delivered],
+                        now,
+                        [hops[row] for row in delivered],
+                        [defl[row] for row in delivered],
+                        [
+                            sum(
+                                packed[axis][
+                                    tcoords[axis][srcs[row]] * side1
+                                    + dcs[axis][row]
+                                ]
+                                for axis in range(dimension)
+                            )
+                            >> shift
+                            for row in delivered
+                        ],
+                    )
+                keep = [True] * len(pos)
+                for row in delivered:
                     keep[row] = False
-                    delivered_count += 1
-                    packet = columns.writeback_row(row)
-                    del by_id[packet.id]
-                    packet.delivered_at = now
-                    if on_deliver is not None:
-                        on_deliver(packet)
-            if keep is not None:
                 columns.compact(keep)
                 ids = columns.ids
                 pos = columns.pos
@@ -813,6 +853,7 @@ class SoaKernel:
                 hops = columns.hops
                 adv = columns.advances
                 defl = columns.deflections
+                srcs = columns.sources
             t5 = clock() if clock is not None else 0
             if profiler is not None:
                 profiler.record_step(
@@ -870,6 +911,7 @@ class SoaKernel:
         set_entry = kernel.set_entry_direction
         on_deliver = kernel.on_deliver
         source = kernel.injection
+        num_nodes = tables.num_nodes
         # A batch run leaves below the constant (always at zero); an
         # injecting run never leaves.
         min_rows = max(VECTOR_MIN_ROWS, 1) if source is None else 0
@@ -881,8 +923,15 @@ class SoaKernel:
         directions = tables.directions
         clock = profiler.clock if profiler is not None else None
 
-        columns = PacketColumns.pack(kernel.in_flight, tables)
+        columns = PacketColumns.pack(
+            kernel.in_flight,
+            tables,
+            sources=source is not None or on_deliver is not None,
+        )
         by_id = columns.by_id
+        src: Any = None
+        if columns.sources is not None:
+            src = np.asarray(columns.sources, dtype=np.int64)
         ids = np.asarray(columns.ids, dtype=np.int64)
         pos = np.asarray(columns.pos, dtype=np.int64)
         dest = np.asarray(columns.dest, dtype=np.int64)
@@ -910,79 +959,39 @@ class SoaKernel:
             t0 = clock() if clock is not None else 0
             generated = injected = backlog = 0
             if source is not None:
-                node_ids, node_counts = np.unique(
-                    pos, return_counts=True
+                # Per-node loads from one bincount; the source's rows
+                # join the columns with no Packet behind them.
+                (
+                    generated,
+                    new_ids,
+                    new_sources,
+                    new_dests,
+                    backlog,
+                ) = self._admit_batch(
+                    np.bincount(pos, minlength=num_nodes).tolist()
                 )
-                loads: Dict[Node, int] = {
-                    index_node[node_idx]: count
-                    for node_idx, count in zip(
-                        node_ids.tolist(), node_counts.tolist()
-                    )
-                }
-                generated, new_packets, backlog = self._admit_batch(
-                    loads
-                )
-                injected = len(new_packets)
-                if new_packets:
-                    extra = PacketColumns.pack(new_packets, tables)
-                    by_id.update(extra.by_id)
+                injected = len(new_ids)
+                if injected:
+                    fresh = np.array(new_sources, dtype=np.int64)
+                    fresh_dest = np.array(new_dests, dtype=np.int64)
+                    zeros = np.zeros(injected, dtype=np.int64)
+                    unset = np.zeros(injected, dtype=bool)
                     ids = np.concatenate(
-                        [ids, np.asarray(extra.ids, dtype=np.int64)]
+                        [ids, np.array(new_ids, dtype=np.int64)]
                     )
-                    pos = np.concatenate(
-                        [pos, np.asarray(extra.pos, dtype=np.int64)]
-                    )
-                    dest = np.concatenate(
-                        [dest, np.asarray(extra.dest, dtype=np.int64)]
-                    )
+                    src = np.concatenate([src, fresh])
+                    pos = np.concatenate([pos, fresh])
+                    dest = np.concatenate([dest, fresh_dest])
                     dcs = [
-                        np.concatenate(
-                            [
-                                dcs[axis],
-                                np.asarray(
-                                    extra.dest_coords[axis],
-                                    dtype=np.int64,
-                                ),
-                            ]
-                        )
-                        for axis in range(dimension)
+                        np.concatenate([column, coords[fresh_dest]])
+                        for column, coords in zip(dcs, coords_v)
                     ]
-                    entry = np.concatenate(
-                        [entry, np.asarray(extra.entry, dtype=np.int64)]
-                    )
-                    rl = np.concatenate(
-                        [
-                            rl,
-                            np.asarray(
-                                extra.restricted_last, dtype=bool
-                            ),
-                        ]
-                    )
-                    al = np.concatenate(
-                        [
-                            al,
-                            np.asarray(
-                                extra.advanced_last, dtype=bool
-                            ),
-                        ]
-                    )
-                    hops = np.concatenate(
-                        [hops, np.asarray(extra.hops, dtype=np.int64)]
-                    )
-                    adv = np.concatenate(
-                        [
-                            adv,
-                            np.asarray(extra.advances, dtype=np.int64),
-                        ]
-                    )
-                    defl = np.concatenate(
-                        [
-                            defl,
-                            np.asarray(
-                                extra.deflections, dtype=np.int64
-                            ),
-                        ]
-                    )
+                    entry = np.concatenate([entry, zeros - 1])
+                    rl = np.concatenate([rl, unset])
+                    al = np.concatenate([al, unset])
+                    hops = np.concatenate([hops, zeros])
+                    adv = np.concatenate([adv, zeros])
+                    defl = np.concatenate([defl, zeros])
             t1 = clock() if clock is not None else 0
 
             step_index = kernel.time
@@ -1079,47 +1088,64 @@ class SoaKernel:
             now = kernel.time
             delivered_count = int(delivered_rows.size)
             if delivered_count:
-                # Ascending row order = in_flight order, so delivery
-                # callbacks fire exactly as in the object loop.  Each
-                # column is read once, as a .tolist() slice of the
-                # delivered rows.
                 rows = delivered_rows
-                entries: Iterable[Optional[int]] = (
-                    entry[rows].tolist()
-                    if set_entry and not buffered
-                    else repeat(None)
-                )
-                for (
-                    packet_id,
-                    node_idx,
-                    restricted,
-                    advanced,
-                    hop_count,
-                    advance_count,
-                    deflection_count,
-                    direction,
-                ) in zip(
-                    ids[rows].tolist(),
-                    pos[rows].tolist(),
-                    rl[rows].tolist(),
-                    al[rows].tolist(),
-                    hops[rows].tolist(),
-                    adv[rows].tolist(),
-                    defl[rows].tolist(),
-                    entries,
-                ):
-                    packet = by_id.pop(packet_id)
-                    packet.location = index_node[node_idx]
-                    if direction is not None:
-                        packet.entry_direction = directions[direction]
-                    packet.restricted_last_step = restricted
-                    packet.advanced_last_step = advanced
-                    packet.hops = hop_count
-                    packet.advances = advance_count
-                    packet.deflections = deflection_count
-                    packet.delivered_at = now
-                    if on_deliver is not None:
-                        on_deliver(packet)
+                if source is None:
+                    # A batch run's result reads the problem's packets:
+                    # write each delivered row back into its own, from
+                    # one .tolist() slice of the delivered rows per
+                    # column, so no numpy scalar is read per packet.
+                    entries: Iterable[Optional[int]] = (
+                        entry[rows].tolist()
+                        if set_entry and not buffered
+                        else repeat(None)
+                    )
+                    for (
+                        packet_id,
+                        node_idx,
+                        restricted,
+                        advanced,
+                        hop_count,
+                        advance_count,
+                        deflection_count,
+                        direction,
+                    ) in zip(
+                        ids[rows].tolist(),
+                        pos[rows].tolist(),
+                        rl[rows].tolist(),
+                        al[rows].tolist(),
+                        hops[rows].tolist(),
+                        adv[rows].tolist(),
+                        defl[rows].tolist(),
+                        entries,
+                    ):
+                        packet = by_id.pop(packet_id)
+                        packet.location = index_node[node_idx]
+                        if direction is not None:
+                            packet.entry_direction = directions[direction]
+                        packet.restricted_last_step = restricted
+                        packet.advanced_last_step = advanced
+                        packet.hops = hop_count
+                        packet.advances = advance_count
+                        packet.deflections = deflection_count
+                        packet.delivered_at = now
+                if on_deliver is not None:
+                    # Ascending row order = ascending id.  Shortest
+                    # distances: the step's gathers, at the sources.
+                    born = src[rows]
+                    span = packed_v[0][
+                        coords_v[0][born] * side1 + dcs[0][rows]
+                    ]
+                    for axis in range(1, dimension):
+                        span = span + packed_v[axis][
+                            coords_v[axis][born] * side1 + dcs[axis][rows]
+                        ]
+                    on_deliver(
+                        ids[rows].tolist(),
+                        now,
+                        hops[rows].tolist(),
+                        defl[rows].tolist(),
+                        (span >> shift).tolist(),
+                    )
                 keep = np.ones(pos.shape[0], dtype=bool)
                 keep[delivered_rows] = False
                 ids = ids[keep]
@@ -1132,6 +1158,8 @@ class SoaKernel:
                 hops = hops[keep]
                 adv = adv[keep]
                 defl = defl[keep]
+                if src is not None:
+                    src = src[keep]
                 if rank_col is not None:
                     rank_col = rank_col[keep]
             t5 = clock() if clock is not None else 0
@@ -1171,6 +1199,8 @@ class SoaKernel:
         columns.hops = hops.tolist()
         columns.advances = adv.tolist()
         columns.deflections = defl.tolist()
+        if src is not None:
+            columns.sources = src.tolist()
         self._writeback(columns)
 
     def _step_buffered_vectorized(

@@ -25,10 +25,10 @@ from repro.core.events import RunObserver
 from repro.core.kernel import (
     AnyPolicy,
     InjectionSource,
+    OnDeliver,
     PhaseSink,
     StepSummary,
 )
-from repro.core.packet import Packet
 from repro.core.problem import RoutingProblem
 from repro.core.rng import RngLike
 from repro.faults import FaultSchedule, RunWatchdog
@@ -59,22 +59,28 @@ def _step_recorder(
 
 
 def _delivery_recorder(
-    stats: DynamicStats, source: InjectionSource, mesh: Mesh
-) -> Callable[[Packet], None]:
-    """The dynamic engines' ``on_deliver``: fold each absorbed packet
-    into the latency statistics (its ``delivered_at`` is the kernel's
-    clock) and forget its generation time."""
-    record_delivery = stats.record_delivery
-    distance = mesh.distance
+    stats: DynamicStats, source: InjectionSource
+) -> OnDeliver:
+    """The dynamic engines' ``on_deliver``: fold one step's absorbed
+    packets into the latency statistics, in ascending id order, and
+    forget their generation times."""
+    record_deliveries = stats.record_deliveries
 
-    def on_deliver(packet: Packet) -> None:
-        assert packet.delivered_at is not None
-        record_delivery(
-            source.generated_at.pop(packet.id),
-            packet.delivered_at,
-            packet.hops,
-            packet.deflections,
-            distance(packet.source, packet.destination),
+    def on_deliver(
+        ids: List[PacketId],
+        delivered_at: int,
+        hops: List[int],
+        deflections: List[int],
+        shortest: List[int],
+    ) -> None:
+        # Read per call: a snapshot restore replaces the table.
+        pop = source.generated_at.pop
+        record_deliveries(
+            [pop(packet_id) for packet_id in ids],
+            delivered_at,
+            hops,
+            deflections,
+            shortest,
         )
 
     return on_deliver
@@ -121,7 +127,7 @@ class DynamicEngineBase(EngineBase):
             checkpoint_every=checkpoint_every,
             on_checkpoint=on_checkpoint,
             injection=self._source,
-            on_deliver=_delivery_recorder(self._stats, self._source, mesh),
+            on_deliver=_delivery_recorder(self._stats, self._source),
         )
 
     # ------------------------------------------------------------------

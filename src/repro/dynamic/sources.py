@@ -14,24 +14,31 @@ paper's comparison needs are here:
   waiting happens inside the network.
 
 Both own the demand process, the packet-id counter and the
-generation-time table, so engines can delegate those wholesale.
+generation-time table, so engines can delegate those wholesale.  They
+admit packets as *rows*: :meth:`~repro.core.kernel.InjectionSource.admit_batch`
+takes the per-node loads and returns the admitted packets' ids,
+source node indices and destination node indices, numbered in
+``mesh.nodes()`` order (a node list and index cached at
+:meth:`prepare`).  The array kernel appends those rows to its columns
+and builds no ``Packet`` for them; the object loops get ``Packet``
+objects from :meth:`~repro.core.kernel.InjectionSource.admit`.
 
 Determinism contract: generation visits ``mesh.nodes()`` in mesh
-order (a list cached at :meth:`prepare`), and capacity-limited
-injection drains ``backlog.items()`` in *insertion* order (nodes enter
-the dict on their first generation and keep that position), which
-fixes packet ids and hence every downstream RNG-sensitive decision.
-Do not "clean up" either iteration order.
+order (one :meth:`~repro.dynamic.injection.TrafficModel.arrivals`
+call per step), and capacity-limited injection drains
+``backlog.items()`` in *insertion* order (nodes enter the dict on
+their first generation and keep that position), which fixes packet
+ids and hence every downstream RNG-sensitive decision.  Do not "clean
+up" either iteration order.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Sequence, Tuple
 
-from repro.core.kernel import InjectionSource
-from repro.core.packet import Packet
+from repro.core.kernel import AdmittedRows, InjectionSource
 from repro.dynamic.injection import TrafficModel
 from repro.mesh.topology import Mesh
 from repro.types import Node, PacketId
@@ -47,68 +54,51 @@ class CapacityLimitedInjection(InjectionSource):
         self.backlog: Dict[Node, Deque[Tuple[int, Node]]] = defaultdict(deque)
         self.next_id: PacketId = 0
         self.generated_at: Dict[PacketId, int] = {}
-        self._mesh: Optional[Mesh] = None
         self._nodes: List[Node] = []
+        self._index: Dict[Node, int] = {}
+        #: Out-degree per node index.
+        self._degrees: List[int] = []
         #: Running total of ``backlog``'s queue lengths.
         self._pending = 0
 
     def prepare(self, mesh: Mesh, rng: random.Random) -> None:
-        self._mesh = mesh
         self._nodes = list(mesh.nodes())
+        self._index = {node: index for index, node in enumerate(self._nodes)}
+        self._degrees = [mesh.degree(node) for node in self._nodes]
         self.traffic.prepare(mesh, rng)
 
-    def admit(self, time: int, in_flight: List[Packet]) -> Tuple[int, int]:
-        loads: Dict[Node, int] = defaultdict(int)
-        for packet in in_flight:
-            loads[packet.location] += 1
-        generated, injected = self.admit_batch(time, loads)
-        in_flight.extend(injected)
-        return generated, len(injected)
-
-    def admit_batch(
-        self, time: int, loads: Dict[Node, int]
-    ) -> Tuple[int, List[Packet]]:
-        """The inject phase against precomputed node loads.
-
-        Same generation and drain order as :meth:`admit` — the array
-        kernel calls this directly with loads derived from its
-        position column, so the traffic stream and packet ids stay
-        bit-identical to the object kernel.  ``loads`` is updated with
-        the injected packets (callers that reuse it see post-injection
-        occupancy, like the object path's local count did).
-        """
-        mesh = self._mesh
-        assert mesh is not None, "prepare() must run before admit()"
+    def admit_batch(self, time: int, loads: Sequence[int]) -> AdmittedRows:
+        """Generate this step's demand into the backlog, then drain
+        each node's queue into its free arcs, ``degree - load``."""
+        degrees = self._degrees
+        assert degrees, "prepare() must run before admit_batch()"
         backlog = self.backlog
-        arrivals = self.traffic.arrivals
         generated = 0
-        for node in self._nodes:
-            for destination in arrivals(node, time):
-                if destination == node:
-                    continue  # zero-distance demand is a no-op
-                backlog[node].append((time, destination))
-                generated += 1
-        injected: List[Packet] = []
-        degree = mesh.degree
+        for node, destination in self.traffic.arrivals(time):
+            if destination == node:
+                continue  # zero-distance demand is a no-op
+            backlog[node].append((time, destination))
+            generated += 1
+        index = self._index
+        generated_at = self.generated_at
+        first = packet_id = self.next_id
+        sources: List[int] = []
+        destinations: List[int] = []
         for node, queue in backlog.items():
             if not queue:
                 continue
-            free = degree(node) - loads.get(node, 0)
-            count = 0
+            at = index[node]
+            free = degrees[at] - loads[at]
             while queue and free > 0:
-                generated_at, destination = queue.popleft()
-                packet = Packet(
-                    id=self.next_id, source=node, destination=destination
-                )
-                self.generated_at[packet.id] = generated_at
-                self.next_id += 1
-                injected.append(packet)
-                count += 1
+                born, destination = queue.popleft()
+                generated_at[packet_id] = born
+                sources.append(at)
+                destinations.append(index[destination])
+                packet_id += 1
                 free -= 1
-            if count:
-                loads[node] = loads.get(node, 0) + count
-        self._pending += generated - len(injected)
-        return generated, injected
+        self.next_id = packet_id
+        self._pending += generated - (packet_id - first)
+        return generated, list(range(first, packet_id)), sources, destinations
 
     def backlog_size(self) -> int:
         return self._pending
@@ -166,37 +156,33 @@ class ImmediateInjection(InjectionSource):
         self.traffic = traffic
         self.next_id: PacketId = 0
         self.generated_at: Dict[PacketId, int] = {}
-        self._nodes: Optional[List[Node]] = None
+        self._nodes: List[Node] = []
+        self._index: Dict[Node, int] = {}
 
     def prepare(self, mesh: Mesh, rng: random.Random) -> None:
         self._nodes = list(mesh.nodes())
+        self._index = {node: index for index, node in enumerate(self._nodes)}
         self.traffic.prepare(mesh, rng)
 
-    def admit(self, time: int, in_flight: List[Packet]) -> Tuple[int, int]:
-        generated, injected = self.admit_batch(time, {})
-        in_flight.extend(injected)
-        return generated, len(injected)
-
-    def admit_batch(
-        self, time: int, loads: Dict[Node, int]
-    ) -> Tuple[int, List[Packet]]:
-        """Batch twin of :meth:`admit`; ``loads`` is ignored (buffers
-        absorb everything)."""
-        nodes = self._nodes
-        assert nodes is not None, "prepare() must run before admit()"
-        arrivals = self.traffic.arrivals
-        injected: List[Packet] = []
-        for node in nodes:
-            for destination in arrivals(node, time):
-                if destination == node:
-                    continue
-                packet = Packet(
-                    id=self.next_id, source=node, destination=destination
-                )
-                self.generated_at[packet.id] = time
-                self.next_id += 1
-                injected.append(packet)
-        return len(injected), injected
+    def admit_batch(self, time: int, loads: Sequence[int]) -> AdmittedRows:
+        """Admit all of this step's demand; ``loads`` is ignored
+        (buffers absorb everything)."""
+        index = self._index
+        assert index, "prepare() must run before admit_batch()"
+        generated_at = self.generated_at
+        first = packet_id = self.next_id
+        sources: List[int] = []
+        destinations: List[int] = []
+        for node, destination in self.traffic.arrivals(time):
+            if destination == node:
+                continue
+            generated_at[packet_id] = time
+            sources.append(index[node])
+            destinations.append(index[destination])
+            packet_id += 1
+        self.next_id = packet_id
+        injected = packet_id - first
+        return injected, list(range(first, packet_id)), sources, destinations
 
     def snapshot_state(self) -> Dict[str, Any]:
         """JSON-safe source state (no backlog: buffers absorb all)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.report import RunAborted
@@ -30,8 +30,8 @@ class DynamicStats:
     """Everything measured during a dynamic run, as running aggregates.
 
     Every summary is a function of these fields, each updated in place
-    per step (:meth:`record_step`) and per delivery
-    (:meth:`record_delivery`):
+    per step (:meth:`record_step`) and per step's deliveries
+    (:meth:`record_deliveries`):
 
     * ``delivered_count`` and ``latency_counts`` (latency -> count),
       from which :meth:`latency_percentile` is exact;
@@ -83,28 +83,33 @@ class DynamicStats:
         if backlog > self.max_backlog:
             self.max_backlog = backlog
 
-    def record_delivery(
+    def record_deliveries(
         self,
-        generated_at: int,
+        generated_at: Sequence[int],
         delivered_at: int,
-        hops: int,
-        deflections: int,
-        shortest: int,
+        hops: Sequence[int],
+        deflections: Sequence[int],
+        shortest: Sequence[int],
     ) -> None:
-        """Fold one delivered packet's life in (skipped when it was
-        generated before the warm-up step)."""
-        if generated_at < self.warmup:
-            return
-        latency = delivered_at - generated_at
-        self.delivered_count += 1
+        """Fold one step's delivered packets in, as columns in delivery
+        order (packets generated before the warm-up step are
+        skipped)."""
+        warmup = self.warmup
         counts = self.latency_counts
-        counts[latency] = counts.get(latency, 0) + 1
-        self.latency_sum += latency
-        self.hop_sum += hops
-        self.deflection_sum += deflections
-        if shortest > 0:
-            self.stretch_sum += hops / shortest
-            self.stretch_count += 1
+        for generated, hop_count, deflection_count, distance in zip(
+            generated_at, hops, deflections, shortest
+        ):
+            if generated < warmup:
+                continue
+            latency = delivered_at - generated
+            self.delivered_count += 1
+            counts[latency] = counts.get(latency, 0) + 1
+            self.latency_sum += latency
+            self.hop_sum += hop_count
+            self.deflection_sum += deflection_count
+            if distance > 0:
+                self.stretch_sum += hop_count / distance
+                self.stretch_count += 1
 
     def finalize(
         self,

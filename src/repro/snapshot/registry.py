@@ -173,15 +173,16 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
         "dynamic.sources",
         "CapacityLimitedInjection",
         # ``_pending`` is the backlog's length, recounted by
-        # restore_state(); ``_nodes`` is rebuilt by prepare().
+        # restore_state(); the node list, node index and degree table
+        # are rebuilt by prepare().
         fields=("backlog", "next_id", "generated_at"),
-        derived=("traffic", "_mesh", "_nodes", "_pending"),
+        derived=("traffic", "_nodes", "_index", "_degrees", "_pending"),
     ),
     _spec(
         "dynamic.sources",
         "ImmediateInjection",
         fields=("next_id", "generated_at"),
-        derived=("traffic", "_nodes"),
+        derived=("traffic", "_nodes", "_index"),
     ),
     _spec(
         "dynamic.stats",

@@ -386,7 +386,7 @@ def stats_from_v1_dict(payload: Dict[str, Any]) -> DynamicStats:
     v1 stored one row per step (``samples``) and one per counted
     delivery (``deliveries``); they are replayed through
     :meth:`~repro.dynamic.stats.DynamicStats.record_step` and
-    :meth:`~repro.dynamic.stats.DynamicStats.record_delivery` in their
+    :meth:`~repro.dynamic.stats.DynamicStats.record_deliveries` in their
     stored order, which is the order the run recorded them, so the
     float stretch sum comes out as the uninterrupted run's.
     """
@@ -402,8 +402,8 @@ def stats_from_v1_dict(payload: Dict[str, Any]) -> DynamicStats:
         generated_at, delivered_at, hops, deflections, shortest = (
             int(value) for value in row
         )
-        stats.record_delivery(
-            generated_at, delivered_at, hops, deflections, shortest
+        stats.record_deliveries(
+            [generated_at], delivered_at, [hops], [deflections], [shortest]
         )
     _restore_final(stats, payload)
     return stats

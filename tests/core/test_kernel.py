@@ -113,8 +113,8 @@ class TestKernelKnobs:
 
     def test_injection_source_default_backlog_is_zero(self):
         class NullSource(InjectionSource):
-            def admit(self, time, in_flight):
-                return 0, 0
+            def admit_batch(self, time, loads):
+                return 0, [], [], []
 
         assert NullSource().backlog_size() == 0
 

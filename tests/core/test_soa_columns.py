@@ -21,7 +21,7 @@ from repro.core.soa.columns import PacketColumns
 from repro.core.validation import validators_for
 from repro.dynamic import BernoulliTraffic, DynamicEngine
 from repro.faults import FaultSchedule, PacketDrop, RunWatchdog
-from repro.mesh.tables import arc_tables_for
+from repro.mesh.tables import arc_tables_for, direction_index
 from repro.mesh.topology import Mesh
 from repro.workloads import random_many_to_many, random_permutation
 
@@ -91,13 +91,69 @@ class TestPackUnpackRoundTrip:
         assert any(p.advanced_last_step for p in packets)
         assert any(p.deflections for p in packets)
         tables = arc_tables_for(Mesh(2, 5))
-        packed = PacketColumns.pack(iter(packets), tables)
-        appended = PacketColumns(tables)
-        for packet in packets:
-            appended.append(packet)
-        for name in PacketColumns.__slots__:
-            assert getattr(packed, name) == getattr(appended, name), name
+        node_index = tables.node_index
+        packed = PacketColumns.pack(iter(packets), tables, sources=True)
+        # Each packed row is its packet's state, encoded row by row.
+        assert [
+            (
+                packed.ids[row],
+                packed.pos[row],
+                packed.dest[row],
+                [column[row] for column in packed.dest_coords],
+                packed.entry[row],
+                packed.restricted_last[row],
+                packed.advanced_last[row],
+                packed.hops[row],
+                packed.advances[row],
+                packed.deflections[row],
+                packed.sources[row],
+            )
+            for row in range(len(packed))
+        ] == [
+            (
+                p.id,
+                node_index[p.location],
+                node_index[p.destination],
+                list(p.destination),
+                -1
+                if p.entry_direction is None
+                else direction_index(p.entry_direction),
+                p.restricted_last_step,
+                p.advanced_last_step,
+                p.hops,
+                p.advances,
+                p.deflections,
+                node_index[p.source],
+            )
+            for p in packets
+        ]
         assert list(packed.by_id.values()) == packets
+        assert PacketColumns.pack(packets, tables).sources is None
+
+        # Admitted packets: their rows, appended one by one with no
+        # Packet behind them, equal the packed fresh packets, and the
+        # writeback builds those packets.
+        fresh = [
+            Packet(id=problem.k + 1, source=(2, 3), destination=(1, 5)),
+            Packet(id=problem.k + 2, source=(5, 5), destination=(1, 1)),
+            Packet(id=problem.k + 3, source=(2, 3), destination=(4, 2)),
+        ]
+        appended = PacketColumns(tables, sources=True)
+        for packet in fresh:
+            appended.append_rows(
+                [packet.id],
+                [node_index[packet.source]],
+                [node_index[packet.destination]],
+            )
+        reference = PacketColumns.pack(fresh, tables, sources=True)
+        for name in PacketColumns.__slots__:
+            if name != "by_id":
+                expected = getattr(reference, name)
+                assert getattr(appended, name) == expected, name
+        assert appended.by_id == {}
+        rebuilt = appended.unpack()
+        assert rebuilt == fresh
+        assert [_snapshot(p) for p in rebuilt] == [_snapshot(p) for p in fresh]
 
     def test_pack_does_not_mutate_packets(self):
         packets = self._mid_run_packets()

@@ -8,10 +8,13 @@ attach :class:`RunRows` to a fresh engine instead:
   so both backends keep the lean loop) records one
   ``(step, generated, injected, in_flight, advancing, delivered,
   backlog)`` row per step;
-* a spy around the kernel's ``on_deliver`` records
+* a spy around the kernel's per-step ``on_deliver`` records
   ``(generated_at, delivered_at, hops, deflections, shortest)`` for
   every delivered packet, before the engine's recorder pops its
-  generation time.
+  generation time, and checks the step's columns are aligned and in
+  ascending id order.  ``shortest`` is the loop's own column: the
+  object loop's ``mesh.distance``, the array kernel's table gather, so
+  the backend differentials compare the two.
 
 :func:`assert_stats_fold_rows` then holds the engine's statistics to
 the rows: the aggregates must equal an independent fold of them, and
@@ -64,20 +67,32 @@ class RunRows:
         kernel = engine._kernel
         recorder = kernel.on_deliver
         source = engine._source
-        distance = engine.mesh.distance
         deliveries = self.deliveries
 
-        def spy(packet: Any) -> None:
-            deliveries.append(
-                (
-                    source.generated_at[packet.id],
-                    packet.delivered_at,
-                    packet.hops,
-                    packet.deflections,
-                    distance(packet.source, packet.destination),
+        def spy(
+            ids: List[int],
+            delivered_at: int,
+            hops: List[int],
+            deflections: List[int],
+            shortest: List[int],
+        ) -> None:
+            assert ids, "a step that delivers nothing makes no call"
+            assert len(hops) == len(deflections) == len(shortest) == len(ids)
+            assert ids == sorted(set(ids)), "ascending, distinct ids"
+            generated_at = source.generated_at
+            for packet_id, hop_count, deflection_count, distance in zip(
+                ids, hops, deflections, shortest
+            ):
+                deliveries.append(
+                    (
+                        generated_at[packet_id],
+                        delivered_at,
+                        hop_count,
+                        deflection_count,
+                        distance,
+                    )
                 )
-            )
-            recorder(packet)
+            recorder(ids, delivered_at, hops, deflections, shortest)
 
         kernel.on_deliver = spy
 

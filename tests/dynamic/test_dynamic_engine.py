@@ -7,12 +7,15 @@ from repro.algorithms import (
     RandomizedGreedyPolicy,
     RestrictedPriorityPolicy,
 )
+from repro.core.packet import Packet
+from repro.core.soa import _compat
 from repro.dynamic import (
     BernoulliTraffic,
     DynamicEngine,
     DynamicStats,
     ScriptedTraffic,
 )
+from repro.mesh.topology import Mesh
 from tests.dynamic.rows import run_rows
 
 
@@ -221,3 +224,47 @@ class TestStats:
         first, second = run(), run()
         assert first.delivered_count == second.delivered_count
         assert first.mean_latency == second.mean_latency
+
+
+class TestRowsUntilWriteback:
+    """On the array kernel an admitted packet is a row of integer
+    columns from generation to delivery: a ``Packet`` is built only for
+    the survivors a segment end writes back (each checkpoint and the
+    run's end), never per injected or delivered packet."""
+
+    @pytest.mark.parametrize("loop", ["numpy", "columnar"])
+    def test_packets_built_only_at_writebacks(self, loop, monkeypatch):
+        if loop == "numpy" and _compat.np is None:
+            pytest.skip("numpy not installed")
+        if loop == "columnar":
+            monkeypatch.setattr(_compat, "np", None)
+        built = []
+        post_init = Packet.__post_init__
+
+        def counting(packet):
+            built.append(packet.id)
+            post_init(packet)
+
+        monkeypatch.setattr(Packet, "__post_init__", counting)
+        written_back = []
+        engine = DynamicEngine(
+            Mesh(2, 16),
+            RestrictedPriorityPolicy(),
+            BernoulliTraffic(0.2),
+            seed=1,
+            warmup=20,
+            checkpoint_every=100,
+            on_checkpoint=lambda _: written_back.append(
+                len(engine.in_flight)
+            ),
+        )
+        _, deliveries, stats = run_rows(engine, 300)
+        written_back.append(len(engine.in_flight))
+        assert engine.backend_used == "soa"
+        assert len(written_back) == 3
+        assert len(built) == len(set(built))
+        assert len(built) <= sum(written_back)
+        # One Packet per injected packet would be ~15k.
+        assert engine.telemetry.injected > 5 * sum(written_back)
+        assert len(deliveries) == engine.telemetry.delivered
+        assert stats.delivered_count > 0

@@ -17,6 +17,14 @@ from repro.dynamic.injection import (
 from repro.mesh.topology import Mesh
 
 
+def _by_node(demand):
+    """One step's ``(source, destination)`` pairs grouped by source."""
+    grouped = {}
+    for node, destination in demand:
+        grouped.setdefault(node, []).append(destination)
+    return grouped
+
+
 class TestBernoulli:
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -27,35 +35,30 @@ class TestBernoulli:
     def test_zero_rate_generates_nothing(self, mesh8):
         traffic = BernoulliTraffic(0.0)
         traffic.prepare(mesh8, random.Random(0))
-        assert all(
-            traffic.arrivals(node, 0) == [] for node in mesh8.nodes()
-        )
+        assert traffic.arrivals(0) == []
 
     def test_rate_one_generates_everywhere(self, mesh8):
         traffic = BernoulliTraffic(1.0)
         traffic.prepare(mesh8, random.Random(0))
-        for node in mesh8.nodes():
-            arrivals = traffic.arrivals(node, 0)
-            assert len(arrivals) == 1
-            assert arrivals[0] != node
+        demand = traffic.arrivals(0)
+        # One packet per node, sources in mesh order.
+        assert [node for node, _ in demand] == list(mesh8.nodes())
+        for node, destination in demand:
+            assert destination != node
 
     def test_empirical_rate(self, mesh8):
         traffic = BernoulliTraffic(0.3)
         traffic.prepare(mesh8, random.Random(1))
-        total = sum(
-            len(traffic.arrivals(node, step))
-            for step in range(100)
-            for node in mesh8.nodes()
-        )
+        total = sum(len(traffic.arrivals(step)) for step in range(100))
         expected = 0.3 * 100 * mesh8.num_nodes
         assert 0.8 * expected <= total <= 1.2 * expected
 
     def test_destinations_in_mesh(self, mesh8):
         traffic = BernoulliTraffic(1.0)
         traffic.prepare(mesh8, random.Random(2))
-        for node in mesh8.nodes():
-            for destination in traffic.arrivals(node, 0):
-                assert mesh8.contains(destination)
+        for node, destination in traffic.arrivals(0):
+            assert mesh8.contains(node)
+            assert mesh8.contains(destination)
 
 
 class TestHotSpot:
@@ -74,10 +77,11 @@ class TestHotSpot:
         traffic = HotSpotTraffic(rate=1.0, hot_fraction=1.0)
         traffic.prepare(mesh8, random.Random(0))
         assert traffic.hot_spot == mesh8.center()
+        demand = _by_node(traffic.arrivals(0))
         for node in mesh8.nodes():
             if node == traffic.hot_spot:
                 continue
-            assert traffic.arrivals(node, 0) == [mesh8.center()]
+            assert demand[node] == [mesh8.center()]
 
     def test_hot_fraction_skews_destinations(self, mesh8):
         traffic = HotSpotTraffic(rate=1.0, hot_fraction=0.5)
@@ -85,12 +89,35 @@ class TestHotSpot:
         hits = 0
         total = 0
         for step in range(50):
-            for node in mesh8.nodes():
-                for destination in traffic.arrivals(node, step):
-                    total += 1
-                    if destination == traffic.hot_spot:
-                        hits += 1
+            for _, destination in traffic.arrivals(step):
+                total += 1
+                if destination == traffic.hot_spot:
+                    hits += 1
         assert hits / total > 0.3  # well above the uniform 1/64
+
+    def test_reused_model_aims_at_each_mesh_center(self):
+        # A defaulted hot spot is resolved by every prepare(), so one
+        # model reused across meshes draws exactly what fresh ones do.
+        reused = HotSpotTraffic(rate=0.5, hot_fraction=0.5)
+        for side in (16, 32, 4):
+            mesh = Mesh(2, side)
+            fresh = HotSpotTraffic(rate=0.5, hot_fraction=0.5)
+            reused.prepare(mesh, random.Random(side))
+            fresh.prepare(mesh, random.Random(side))
+            assert reused.hot_spot == fresh.hot_spot == mesh.center()
+            assert [reused.arrivals(step) for step in range(30)] == [
+                fresh.arrivals(step) for step in range(30)
+            ]
+
+    def test_named_hot_spot_is_kept_across_meshes(self):
+        traffic = HotSpotTraffic(rate=0.5, hot_spot=(2, 2))
+        for side in (16, 4):
+            traffic.prepare(Mesh(2, side), random.Random(0))
+            assert traffic.hot_spot == (2, 2)
+        with pytest.raises(ValueError):
+            HotSpotTraffic(rate=0.5, hot_spot=(9, 9)).prepare(
+                Mesh(2, 4), random.Random(0)
+            )
 
 
 class TestScripted:
@@ -99,9 +126,21 @@ class TestScripted:
             [((1, 1), 0, (3, 3)), ((1, 1), 0, (2, 2)), ((4, 4), 2, (1, 1))]
         )
         traffic.prepare(mesh8, random.Random(0))
-        assert traffic.arrivals((1, 1), 0) == [(3, 3), (2, 2)]
-        assert traffic.arrivals((1, 1), 1) == []
-        assert traffic.arrivals((4, 4), 2) == [(1, 1)]
+        assert traffic.arrivals(0) == [((1, 1), (3, 3)), ((1, 1), (2, 2))]
+        assert traffic.arrivals(1) == []
+        assert traffic.arrivals(2) == [((4, 4), (1, 1))]
+
+    def test_sources_come_in_mesh_order(self, mesh8):
+        # Script order within a node, mesh order across nodes.
+        traffic = ScriptedTraffic(
+            [((5, 5), 1, (1, 1)), ((2, 3), 1, (8, 8)), ((5, 5), 1, (2, 2))]
+        )
+        traffic.prepare(mesh8, random.Random(0))
+        assert traffic.arrivals(1) == [
+            ((2, 3), (8, 8)),
+            ((5, 5), (1, 1)),
+            ((5, 5), (2, 2)),
+        ]
 
     def test_validates_endpoints(self, mesh8):
         bad = ScriptedTraffic([((0, 0), 0, (1, 1))])

@@ -121,7 +121,7 @@ class TestHistogram:
     def test_percentile_equals_the_sorted_list_rule(self, latencies, q):
         stats = DynamicStats()
         for latency in latencies:
-            stats.record_delivery(0, latency, latency, 0, latency)
+            stats.record_deliveries([0], latency, [latency], [0], [latency])
         if not latencies:
             assert stats.latency_percentile(q) == 0.0
             return
@@ -133,7 +133,7 @@ class TestHistogram:
 
     def test_warmup_deliveries_and_steps_are_not_counted(self):
         stats = DynamicStats(warmup=10)
-        stats.record_delivery(9, 20, 5, 1, 3)
+        stats.record_deliveries([9], 20, [5], [1], [3])
         stats.record_step(9, 4, 7, 50)
         assert stats.delivered_count == 0
         assert stats.latency_counts == {}
