@@ -2,11 +2,11 @@
 
 A flat-column twin of :meth:`repro.core.kernel.StepKernel.run_lean`:
 packet state lives in parallel integer columns, *rank* is one stable
-argsort over composite priority keys, *arc_assign* is batched
-good-direction selection over precomputed arc-index tables.  Proven
-bit-identical to the object kernel (same summaries, telemetry, packet
-outcomes, RNG stream) by the golden fixtures and the soa differential
-suite.
+16-bit radix order of the rows by node and priority, *arc_assign* is
+batched good-direction selection over precomputed arc-index tables.
+Proven bit-identical to the object kernel (same summaries, telemetry,
+packet outcomes, RNG stream) by the golden fixtures and the soa
+differential suite.
 
 The engines run it by default (``backend="auto"``) whenever a run
 takes the lean loop and :func:`select_adapter` finds an adapter for

@@ -22,7 +22,8 @@ Adapters also decide *how* the kernel may run:
   bit-identical;
 * RNG-free policies are fully vectorizable: per-node decisions are
   pure functions of the node's rows, so visit order is immaterial and
-  a single argsort over ``node * codes + code`` composite keys
+  one stable radix order of the rows by ``node * codes + code``
+  composite keys (by node over the rank order, for random ranks)
   reproduces the per-node priority orders;
 * ``RandomRankPolicy`` under dynamic injection draws ranks lazily on
   first sight; the columnar path reproduces the draw order (node visit

@@ -5,9 +5,14 @@ same synchronous loop as :meth:`StepKernel.run_lean`, but with packet
 state held in flat columns (:class:`PacketColumns`) instead of
 ``Packet`` objects, and per-step work expressed as array operations:
 
-* *rank* becomes one stable argsort over composite ``node * codes +
-  priority_code`` keys (the per-node priority orders fall out of the
-  segmentation of the sorted order);
+* *rank* becomes one stable :func:`radix_order` of the rows by
+  composite ``node * codes + priority_code`` keys, or, for
+  random-rank, of the rows in rank order (sorted once per run segment)
+  by node; the per-node priority orders fall out of the segmentation
+  of the sorted order.  Each pass of a radix order stably sorts one
+  16-bit digit, which numpy does by a linear-time radix sort; one
+  pass covers keys below ``2**16``, so the restricted keys of every
+  mesh up to 16,384 nodes;
 * *arc_assign* becomes a table lookup: good masks and distances for
   every packet arrive from ``d`` gathers into the mesh's per-axis
   packed tables (:meth:`~repro.mesh.topology.Mesh.arc_tables`).  A
@@ -125,6 +130,54 @@ VECTOR_MIN_ROWS = 32
 #: run meets ~31k keys in 600 steps, and inserting them step by step
 #: took longer than solving them.
 SMALL_TABLE = 4096
+
+
+#: Width of one :func:`radix_order` digit: numpy sorts 16-bit integers
+#: by radix and wider ones by comparison.
+DIGIT_BITS = 16
+
+
+def radix_order(np: Any, key: Any, bound: int) -> Any:
+    """The stable argsort of non-negative integer keys below ``bound``.
+
+    Least significant 16-bit digit first, one ``uint16`` stable
+    argsort per digit, which numpy runs as a radix sort: one pass when
+    ``bound <= 2**16`` and one more per further 16 bits.  Each pass
+    keeps the order of the previous one among equal digits, so the
+    result is exactly ``np.argsort(key, kind="stable")``: keys
+    ascending, equal keys in row order.  Every digit below the top one
+    is masked into ``uint16`` range before the cast, so keys wider
+    than int64, held as Python ints, sort too.
+    """
+    order: Any = None
+    shift = 0
+    while True:
+        digit = key >> shift if shift else key
+        top = bound <= 1 << shift + DIGIT_BITS
+        if not top:
+            digit = digit & (1 << DIGIT_BITS) - 1
+        digit = digit.astype(np.uint16)
+        if order is None:
+            order = np.argsort(digit, kind="stable")
+        else:
+            order = order[np.argsort(digit[order], kind="stable")]
+        if top:
+            return order
+        shift += DIGIT_BITS
+
+
+def compact_order(np: Any, order: Any, keep: Any) -> Any:
+    """``order``, a permutation of rows, over the rows ``keep`` marks.
+
+    The kept rows stay in their relative order and are renumbered as
+    compacting the columns by ``keep`` numbers them, so a stable
+    argsort of a column stays the stable argsort of its compacted
+    column.
+    """
+    kept = np.flatnonzero(keep)
+    renumber = np.empty(keep.shape[0], dtype=np.int64)
+    renumber[kept] = np.arange(kept.shape[0])
+    return renumber[order[keep[order]]]
 
 
 def _table_views(tables: ArcTables, np: Any) -> Dict[str, Any]:
@@ -884,7 +937,7 @@ class SoaKernel:
     def _run_vectorized(
         self, until: int, profiler: Optional[PhaseSink]
     ) -> None:
-        """The numpy path: one argsort + gathers per step.
+        """The numpy path: one radix order + gathers per step.
 
         Only legal for RNG-free policies, where per-node decisions are
         pure functions of each node's rows (visit order immaterial).
@@ -945,12 +998,18 @@ class SoaKernel:
         hops = np.asarray(columns.hops, dtype=np.int64)
         adv = np.asarray(columns.advances, dtype=np.int64)
         defl = np.asarray(columns.deflections, dtype=np.int64)
-        rank_col: Any = None
+        # Random-rank: the rows in rank order (ties by row), sorted
+        # once here and carried through every compaction, so a step
+        # only radix-orders it by node.
+        rank_order: Any = None
         if code_kind == CODE_RANK:
             rank_of = adapter.rank_of
-            rank_col = np.asarray(
-                [rank_of(packet_id) for packet_id in columns.ids],
-                dtype=np.float64,
+            rank_order = np.argsort(
+                np.asarray(
+                    [rank_of(packet_id) for packet_id in columns.ids],
+                    dtype=np.float64,
+                ),
+                kind="stable",
             )
 
         while kernel.time < until:
@@ -1019,7 +1078,7 @@ class SoaKernel:
                     coords_v, nbr_v, dimension, two_d, step_index,
                 )
             else:
-                # Node load stats + priority order from one stable sort.
+                # Node load stats + priority order from one radix order.
                 if code_kind == CODE_RESTRICTED:
                     single = (gm & (gm - 1)) == 0
                     a_code = 0 if prefer_type_a else 1
@@ -1027,11 +1086,13 @@ class SoaKernel:
                         rl & al, a_code, 1 - a_code
                     )
                     code = np.where(single, restricted_codes, 2)
-                    order = np.argsort(pos * 4 + code, kind="stable")
+                    order = radix_order(np, pos * 4 + code, 4 * num_nodes)
                 elif code_kind == CODE_RANK:
-                    order = np.lexsort((rank_col, pos))
+                    order = rank_order[
+                        radix_order(np, pos[rank_order], num_nodes)
+                    ]
                 else:
-                    order = np.argsort(pos, kind="stable")
+                    order = radix_order(np, pos, num_nodes)
                 spos = pos[order]
                 if m:
                     head = np.empty(m, dtype=bool)
@@ -1160,8 +1221,8 @@ class SoaKernel:
                 defl = defl[keep]
                 if src is not None:
                     src = src[keep]
-                if rank_col is not None:
-                    rank_col = rank_col[keep]
+                if rank_order is not None:
+                    rank_order = compact_order(np, rank_order, keep)
             t5 = clock() if clock is not None else 0
             if profiler is not None:
                 # The array step fuses the good-mask gathers, the sort
@@ -1227,11 +1288,11 @@ class SoaKernel:
         """
         m = int(pos.shape[0])
         if m:
-            _, counts = np.unique(pos, return_counts=True)
-            max_load = int(counts.max())
-            bad = counts > dimension
+            loads = np.bincount(pos)
+            max_load = int(loads.max())
+            bad = loads > dimension
             bad_nodes = int(bad.sum())
-            packets_in_bad = int(counts[bad].sum())
+            packets_in_bad = int(loads[bad].sum())
         else:
             max_load = bad_nodes = packets_in_bad = 0
         # Dimension-order next hop: first differing axis, plain
@@ -1247,10 +1308,15 @@ class SoaKernel:
             )
         valid = np.flatnonzero(dirv >= 0)
         # One packet per (node, direction): the lowest row (= lowest
-        # id) wins, matching the policy's first-seen rule.
-        keys = pos[valid] * two_d + dirv[valid]
-        _, first = np.unique(keys, return_index=True)
-        winners = valid[first]
+        # id) wins, matching the policy's first-seen rule.  A stable
+        # order puts it at the head of its arc's run.  The keys are
+        # arc indices into the neighbour table, which bounds them.
+        arcs = pos[valid] * two_d + dirv[valid]
+        order = radix_order(np, arcs, int(nbr_v.shape[0]))
+        sorted_arcs = arcs[order]
+        head = np.ones(sorted_arcs.shape[0], dtype=bool)
+        np.not_equal(sorted_arcs[1:], sorted_arcs[:-1], out=head[1:])
+        winners = valid[order[head]]
         win_dirs = dirv[winners]
         advancing = int(((gm[winners] >> win_dirs) & 1).sum())
         next_pos = nbr_v[pos[winners] * two_d + win_dirs]

@@ -40,7 +40,7 @@ from repro.faults import FaultSchedule
 from repro.mesh.hypercube import Hypercube
 from repro.mesh.topology import Mesh
 from repro.mesh.torus import Torus
-from repro.workloads import random_many_to_many
+from repro.workloads import random_many_to_many, single_target
 
 from tests.dynamic.rows import run_rows
 
@@ -243,6 +243,94 @@ class TestHeavyContentionSoaDifferential:
         for engine in runs:
             assert [p.location for p in engine.in_flight] == [(2, 3), (3, 2)]
             assert engine.telemetry.advances == 2
+
+
+#: Hot-potato policies with the key count their numpy order runs over,
+#: per node: restricted keys run below 4N, plain greedy's (the node)
+#: and random-rank's (the node, over the rank order) below N.
+CODE_POLICIES = (
+    (RestrictedPriorityPolicy, 4),
+    (PlainGreedyPolicy, 1),
+    (RandomRankPolicy, 1),
+)
+
+
+class TestTwoPassSoaDifferential:
+    """soa == object where the radix order needs a second 16-bit pass.
+
+    The restricted order's keys run below 4N and the buffered step's
+    arc keys below 2dN.  On ``Mesh(2, 130)`` (4N = 67,600) and
+    ``Mesh(3, 26)`` (4N = 70,304) both exceed ``2**16``, so both
+    orders take two passes; on ``Mesh(2, 128)`` 4N is ``2**16``
+    exactly and the restricted order takes one.  Each shape routes a
+    random k = 600 problem and a hot-spot problem (600 packets to the
+    centre), with every run on the numpy step from its first step.
+    """
+
+    MESHES = pytest.mark.parametrize(
+        "mesh",
+        (Mesh(2, 130), Mesh(3, 26), Mesh(2, 128)),
+        ids=("mesh2x130", "mesh3x26", "mesh2x128"),
+    )
+    WORKLOADS = pytest.mark.parametrize(
+        "workload",
+        (
+            lambda mesh: random_many_to_many(mesh, k=600, seed=11),
+            lambda mesh: single_target(mesh, k=600, seed=11),
+        ),
+        ids=("random", "hotspot"),
+    )
+
+    @staticmethod
+    def _bounds(monkeypatch):
+        """The bound of every radix order the soa run takes."""
+        bounds = []
+        if _compat.np is not None:
+            order = soa_kernel.radix_order
+
+            def recorded(np, key, bound):
+                bounds.append(bound)
+                return order(np, key, bound)
+
+            monkeypatch.setattr(soa_kernel, "radix_order", recorded)
+        return bounds
+
+    @MESHES
+    @WORKLOADS
+    @pytest.mark.parametrize(
+        "policy_index",
+        range(len(CODE_POLICIES)),
+        ids=("restricted", "plain", "random-rank"),
+    )
+    def test_hot_potato(self, mesh, workload, policy_index, monkeypatch):
+        make, codes = CODE_POLICIES[policy_index]
+        problem = workload(mesh)
+        obj = _hot_potato(problem, make(), 11, "object")
+        expected = obj.run()
+        bounds = self._bounds(monkeypatch)
+        soa = _hot_potato(problem, make(), 11, "soa")
+        assert soa.run() == expected
+        assert soa.telemetry == obj.telemetry
+        if _compat.np is not None:
+            assert set(bounds) == {codes * mesh.num_nodes}
+
+    @MESHES
+    @WORKLOADS
+    def test_buffered(self, mesh, workload, monkeypatch):
+        problem = workload(mesh)
+        obj = BufferedEngine(
+            problem, DimensionOrderPolicy(), seed=11, backend="object"
+        )
+        expected = obj.run()
+        bounds = self._bounds(monkeypatch)
+        soa = BufferedEngine(
+            problem, DimensionOrderPolicy(), seed=11, backend="soa"
+        )
+        assert soa.run() == expected
+        assert soa.telemetry == obj.telemetry
+        assert soa.max_buffer_seen == obj.max_buffer_seen
+        if _compat.np is not None:
+            assert set(bounds) == {2 * mesh.dimension * mesh.num_nodes}
 
 
 class TestBufferedSoaDifferential:

@@ -57,6 +57,30 @@ class TestExtractPhases:
             )
             assert set(extract_phases(node)) == {"arc_assign"}
 
+    def test_rank_marker_forms(self):
+        # The numpy step orders its rows by radix passes; a stable
+        # argsort that precedes it (random-rank's pack-time rank
+        # order) is not the step's last rank marker.
+        for call in (
+            'np.argsort(keys, kind="stable")',
+            "np.lexsort((ranks, keys))",
+            "radix_order(np, keys, bound)",
+        ):
+            node = _function(
+                f"def loop(self, keys):\n    order = {call}\n", "loop"
+            )
+            assert set(extract_phases(node)) == {"rank"}
+        node = _function(
+            "def loop(self, ranks, pos):\n"
+            '    by_rank = np.argsort(ranks, kind="stable")\n'
+            "    self._admit_batch(pos)\n"
+            "    order = by_rank[radix_order(np, pos[by_rank], 4)]\n",
+            "loop",
+        )
+        found = extract_phases(node)
+        assert found["inject"][0] == 3
+        assert found["rank"][0] == 4
+
     def test_move_marker_forms(self):
         aug = _function(
             "def loop(self, packet):\n    packet.hops += 1\n", "loop"
