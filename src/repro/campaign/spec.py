@@ -26,15 +26,24 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "CaseSpec",
+    "DEFAULT_POLICIES",
     "TOPOLOGIES",
     "WORKLOADS",
     "spec_key",
 ]
 
-#: Topology families a spec may name (mirrors the CLI vocabulary).
+#: Topology families a spec may name; the CLI offers the same.
 TOPOLOGIES: Tuple[str, ...] = ("mesh", "torus", "hypercube")
 
-#: Workload generators a spec may name (mirrors the CLI vocabulary).
+#: The policy each engine runs when a command names none.
+DEFAULT_POLICIES: Mapping[str, str] = {
+    "hot-potato": "restricted-priority",
+    "buffered": "dimension-order",
+}
+
+#: Workload generators a spec may name (see
+#: :func:`~repro.campaign.worker.resolve_workload`); the CLI offers the
+#: same.
 WORKLOADS: Tuple[str, ...] = (
     "random",
     "permutation",
@@ -122,7 +131,7 @@ class CaseSpec:
                 f"unknown workload {self.workload!r}; "
                 f"expected one of {', '.join(WORKLOADS)}"
             )
-        if self.engine not in ("hot-potato", "buffered"):
+        if self.engine not in DEFAULT_POLICIES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; "
                 "expected 'hot-potato' or 'buffered'"

@@ -127,9 +127,9 @@ def initialize_worker(
 def resolve_workload(mesh: Mesh, spec: CaseSpec) -> RoutingProblem:
     """Build the spec's routing problem on a resolved mesh.
 
-    Mirrors the CLI workload vocabulary; ``k`` defaults to half the
-    node count for the batch-size-taking generators, and the spec seed
-    feeds problem generation exactly as ``repro route --seed`` does.
+    ``k`` defaults to half the node count for the batch-size-taking
+    generators, and the spec seed feeds problem generation.  The CLI
+    resolves its workloads here too.
     """
     params = dict(spec.workload_params)
     name = spec.workload
@@ -156,8 +156,13 @@ def resolve_policy(spec: CaseSpec) -> RoutingPolicy:
     """Instantiate the spec's policy (fresh instance per case).
 
     The hot-potato registry and the buffered policies are disjoint
-    interfaces, so resolution branches on the spec's engine exactly
-    like the CLI does.
+    interfaces (total assignments vs. partial forwarding), so
+    resolution branches on the spec's engine.
+
+    Raises:
+        ValueError: a buffered engine with a policy other than
+            dimension-order.
+        KeyError: a hot-potato policy name the registry lacks.
     """
     if spec.engine == "buffered":
         from repro.algorithms.dimension_order import DimensionOrderPolicy

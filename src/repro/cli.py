@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.algorithms import (
     BlockingGreedyPolicy,
@@ -32,74 +32,54 @@ from repro.algorithms import (
     livelock_instance,
     make_policy,
 )
-from repro.algorithms.dimension_order import DimensionOrderPolicy
 from repro.analysis.livelock import detect_cycle
 from repro.analysis.tables import format_table
+from repro.campaign.spec import (
+    DEFAULT_POLICIES,
+    TOPOLOGIES,
+    WORKLOADS,
+    CaseSpec,
+)
+from repro.campaign.worker import mesh_for, resolve_policy, resolve_workload
 from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
-from repro.core.problem import RoutingProblem
+from repro.core.policy import RoutingPolicy
 from repro.core.serialization import save_trace
 from repro.core.trace import record_run
 from repro.dynamic import BernoulliTraffic, BufferedDynamicEngine, DynamicEngine
-from repro.mesh.hypercube import Hypercube
 from repro.mesh.topology import Mesh
-from repro.mesh.torus import Torus
 from repro.potential.bounds import theorem20_bound
 from repro.potential.verification import verify_restricted_run
-from repro.workloads import (
-    corner_storm,
-    quadrant_flood,
-    random_many_to_many,
-    random_permutation,
-    reversal,
-    single_target,
-    transpose,
-)
 
 
-def _build_mesh(args: argparse.Namespace) -> Mesh:
-    if args.topology == "mesh":
-        return Mesh(args.dimension, args.side)
-    if args.topology == "torus":
-        return Torus(args.dimension, args.side)
-    if args.topology == "hypercube":
-        return Hypercube(args.dimension)
-    raise SystemExit(f"unknown topology {args.topology!r}")
+def _case(args: argparse.Namespace, **fields: Any) -> CaseSpec:
+    """The case a command's mesh and policy flags name, with
+    ``fields``; the campaign's vocabulary resolves it.
+
+    Without ``--policy`` the case runs its engine's default policy.
+    """
+    engine = fields.setdefault("engine", "hot-potato")
+    return CaseSpec(
+        topology=args.topology,
+        side=args.side,
+        dimension=args.dimension,
+        policy=args.policy or DEFAULT_POLICIES[engine],
+        **fields,
+    )
 
 
-def _build_workload(mesh: Mesh, args: argparse.Namespace) -> RoutingProblem:
-    name = args.workload
-    if name == "random":
-        k = args.k if args.k is not None else mesh.num_nodes // 2
-        return random_many_to_many(mesh, k=k, seed=args.seed)
-    if name == "permutation":
-        return random_permutation(mesh, seed=args.seed)
-    if name == "transpose":
-        return transpose(mesh)
-    if name == "reversal":
-        return reversal(mesh)
-    if name == "hotspot":
-        k = args.k if args.k is not None else mesh.num_nodes // 2
-        return single_target(mesh, k=k, seed=args.seed)
-    if name == "flood":
-        return quadrant_flood(mesh, seed=args.seed)
-    if name == "corners":
-        return corner_storm(mesh)
-    raise SystemExit(f"unknown workload {name!r}")
+def _workload_params(args: argparse.Namespace) -> tuple:
+    """``--k`` as a case's workload parameters (none when unset)."""
+    return () if args.k is None else (("k", args.k),)
 
 
-WORKLOADS = (
-    "random",
-    "permutation",
-    "transpose",
-    "reversal",
-    "hotspot",
-    "flood",
-    "corners",
-)
-
-#: Policies usable with ``--engine buffered`` (must be BufferedPolicy).
-BUFFERED_POLICIES = ("dimension-order",)
+def _policy(spec: CaseSpec) -> RoutingPolicy:
+    """A fresh instance of the case's policy; a policy its engine
+    cannot run ends the command with the reason."""
+    try:
+        return resolve_policy(spec)
+    except ValueError as problem:
+        raise SystemExit(str(problem))
 
 
 def _telemetry_observers(args: argparse.Namespace, command: str) -> list:
@@ -140,25 +120,6 @@ def _write_series(args: argparse.Namespace, recorder, command: str) -> None:
     }
     samples = write_series_jsonl(recorder.series, args.series, meta=meta)
     print(f"series written to {args.series} ({samples} samples)")
-
-
-def _resolve_policy(args: argparse.Namespace):
-    """Resolve ``--policy`` against ``--engine``; returns (name, policy).
-
-    The hot-potato registry and the buffered policies are disjoint
-    interfaces (total assignments vs. partial forwarding), so each
-    engine has its own default and its own valid set.
-    """
-    if args.engine == "buffered":
-        name = args.policy or "dimension-order"
-        if name not in BUFFERED_POLICIES:
-            raise SystemExit(
-                f"policy {name!r} is not a buffered policy; --engine "
-                f"buffered supports: {', '.join(BUFFERED_POLICIES)}"
-            )
-        return name, DimensionOrderPolicy()
-    name = args.policy or "restricted-priority"
-    return name, make_policy(name)
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +218,18 @@ def _route_resume(engine, args: argparse.Namespace, payload) -> None:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    mesh = _build_mesh(args)
-    problem = _build_workload(mesh, args)
-    policy_name, policy = _resolve_policy(args)
+    spec = _case(
+        args,
+        engine=args.engine,
+        workload=args.workload,
+        workload_params=_workload_params(args),
+        seed=args.seed,
+    )
+    mesh = mesh_for(spec)
+    problem = resolve_workload(mesh, spec)
+    policy = _policy(spec)
     print(
-        f"Routing {problem.describe()} with {policy_name!r}"
+        f"Routing {problem.describe()} with {spec.policy!r}"
         + (" (store-and-forward)" if args.engine == "buffered" else "")
     )
 
@@ -368,7 +336,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.campaign import Campaign, CaseSpec
+    from repro.campaign import Campaign
 
     if args.telemetry:
         from repro.obs.manifest import (
@@ -376,21 +344,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             manifest_from_run_result,
         )
 
-    mesh = _build_mesh(args)
+    mesh = mesh_for(_case(args, workload="random", seed=0))
     ks = []
     k = max(1, args.k_min)
     while k <= args.k_max:
         ks.append(k)
         k *= 2
     specs = [
-        CaseSpec(
-            topology=args.topology,
-            side=args.side,
-            dimension=args.dimension,
-            workload="random",
-            workload_params=(("k", k),),
-            policy=args.policy,
-            seed=seed,
+        _case(
+            args, workload="random", workload_params=(("k", k),), seed=seed
         )
         for k in ks
         for seed in range(args.seeds)
@@ -444,18 +406,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_dynamic(args: argparse.Namespace) -> int:
-    mesh = _build_mesh(args)
-    policy_name, _ = _resolve_policy(args)
+    spec = _case(args, engine=args.engine, workload="random", seed=args.seed)
+    mesh = mesh_for(spec)
     buffered = args.engine == "buffered"
     rows = []
     for rate in args.rates:
         # Fresh policy/traffic/observers per rate: engines share nothing.
-        _, policy = _resolve_policy(args)
         engine = (
             BufferedDynamicEngine if buffered else DynamicEngine
         )(
             mesh,
-            policy,
+            _policy(spec),
             BernoulliTraffic(rate),
             seed=args.seed,
             warmup=args.horizon // 4,
@@ -480,7 +441,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
             ["load", "lat mean", "lat p99", "deflect", "thruput",
              queue_header, "stable"],
             rows,
-            title=f"dynamic {policy_name} on {mesh.kind} n={mesh.side} "
+            title=f"dynamic {spec.policy} on {mesh.kind} n={mesh.side} "
             f"({args.horizon} steps"
             + (", store-and-forward)" if buffered else ")"),
         )
@@ -499,7 +460,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import PhaseProfiler
     from repro.obs.manifest import JsonlRunLogger
 
-    mesh = _build_mesh(args)
+    buffered = args.engine in ("buffered", "buffered-dynamic")
+    spec = _case(
+        args,
+        engine="buffered" if buffered else "hot-potato",
+        workload=args.workload,
+        workload_params=_workload_params(args),
+        seed=args.seed,
+    )
+    mesh = mesh_for(spec)
+    policy = _policy(spec)
     profiler = PhaseProfiler()
     observers = []
     if args.telemetry:
@@ -510,13 +480,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
 
     if args.engine in ("dynamic", "buffered-dynamic"):
-        buffered = args.engine == "buffered-dynamic"
-        if buffered:
-            policy_name: str = "dimension-order"
-            policy = DimensionOrderPolicy()
-        else:
-            policy_name = args.policy or "restricted-priority"
-            policy = make_policy(policy_name)
         dynamic_engine = (
             BufferedDynamicEngine if buffered else DynamicEngine
         )(
@@ -531,13 +494,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
         stats = dynamic_engine.run(args.horizon)
         print(
-            f"{args.engine} {policy_name!r} on {mesh.kind} n={mesh.side} "
+            f"{args.engine} {spec.policy!r} on {mesh.kind} n={mesh.side} "
             f"rate={args.rate}: {stats.summary()}"
         )
         telemetry = dynamic_engine.telemetry
     else:
-        problem = _build_workload(mesh, args)
-        policy_name, policy = _resolve_policy(args)
+        problem = resolve_workload(mesh, spec)
         if args.engine == "buffered":
             engine = BufferedEngine(
                 problem,
@@ -599,26 +561,12 @@ def cmd_policies(args: argparse.Namespace) -> int:
 
 def _campaign_specs(args: argparse.Namespace) -> list:
     """Seed-replicated declarative specs for ``repro campaign run``."""
-    from repro.campaign import CaseSpec
-
-    workload_params = ()
-    if args.k is not None:
-        workload_params = (("k", args.k),)
-    if args.policy:
-        policy = args.policy
-    elif args.engine == "buffered":
-        policy = "dimension-order"
-    else:
-        policy = "restricted-priority"
     try:
         return [
-            CaseSpec(
-                topology=args.topology,
-                side=args.side,
-                dimension=args.dimension,
+            _case(
+                args,
                 workload=args.workload,
-                workload_params=workload_params,
-                policy=policy,
+                workload_params=_workload_params(args),
                 seed=seed,
                 # The soa kernel runs the lean loop, which requires
                 # capacity-only validation (same rule as `repro route`).
@@ -775,7 +723,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _add_mesh_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--topology",
-        choices=("mesh", "torus", "hypercube"),
+        choices=TOPOLOGIES,
         default="mesh",
         help="network family (default: mesh)",
     )

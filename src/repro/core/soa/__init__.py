@@ -1,7 +1,8 @@
 """Structure-of-arrays step kernel (``backend="soa"``).
 
 A flat-column twin of :meth:`repro.core.kernel.StepKernel.run_lean`:
-packet state lives in parallel integer columns, *rank* is one stable
+packet state lives in one table of integer columns
+(:class:`PacketColumns`), *rank* is one stable
 16-bit radix order of the rows by node and priority, *arc_assign* is
 batched good-direction selection over precomputed arc-index tables.
 Proven bit-identical to the object kernel (same summaries, telemetry,

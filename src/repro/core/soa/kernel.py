@@ -56,16 +56,21 @@ state.  The proof harness lives in
 ``tests/integration/test_soa_differential.py`` and the golden-fixture
 suite.
 
+Both loops hold the packets as the :class:`PacketColumns` row table,
+whose module alone knows the row layout: the columnar loop as its
+lists, bound once per run, the numpy path as numpy arrays in table
+order, which each step names in one unpacking and updates in place.
 A run fed by an injection source carries its packets as rows from
 admission to delivery.  The source admits rows (ids, source and
-destination node indices) against per-node loads, and both loops
-append them to their columns as they are; each delivering step hands
-``on_deliver`` the delivered rows' columns, with every shortest
-distance gathered from the packed tables at a per-row source column.
-A ``Packet`` is built only when a row is written back at the end of a
-run segment (a checkpoint, the end of a ``run`` call).  A batch run
-(no source) carries no source column: its delivered rows are written
-back into the problem's packets, which the run's result reads.
+destination node indices) against per-node loads, which join the
+table as a block of fresh rows (:meth:`PacketColumns.fresh_rows`);
+each delivering step hands ``on_deliver`` the delivered rows'
+columns, with every shortest distance gathered from the packed tables
+at a per-row source column.  A ``Packet`` is built only when a row is
+written back (:meth:`PacketColumns.write_rows`) at the end of a run
+segment (a checkpoint, the end of a ``run`` call).  A batch run (no
+source) carries no source column: its delivered rows are written back
+into the problem's packets, which the run's result reads.
 
 The kernel's clock and delivery counters stay authoritative on the
 wrapped :class:`StepKernel` (``time``, ``delivered_total``), so engine
@@ -78,7 +83,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import lshift
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.kernel import PhaseSink, StepKernel, StepSummary
 from repro.core.soa import _compat
@@ -87,7 +92,7 @@ from repro.core.soa.adapters import (
     CODE_RESTRICTED,
     PolicyAdapter,
 )
-from repro.core.soa.columns import PacketColumns
+from repro.core.soa.columns import IDS, POS, PacketColumns
 from repro.core.soa.conflict import resolve_node
 from repro.exceptions import ArcAssignmentError
 from repro.mesh.tables import ArcTables
@@ -496,17 +501,9 @@ class SoaKernel:
             object-kernel-only features and are rejected.
         adapter: the policy's declarative description
             (:func:`~.adapters.adapter_for`).
-        force_python: skip the numpy path even when available (the
-            fallback differential tests use this).
     """
 
-    def __init__(
-        self,
-        kernel: StepKernel,
-        adapter: PolicyAdapter,
-        *,
-        force_python: bool = False,
-    ) -> None:
+    def __init__(self, kernel: StepKernel, adapter: PolicyAdapter) -> None:
         if kernel.faults is not None or kernel.watchdog is not None:
             raise ValueError(
                 "SoaKernel does not support faults or watchdogs; "
@@ -522,10 +519,7 @@ class SoaKernel:
         self.kernel = kernel
         self.adapter = adapter
         self.tables = kernel.mesh.arc_tables()
-        np = _compat.np
-        self.vectorized = (
-            np is not None and not force_python and adapter.vectorizable
-        )
+        self.vectorized = _compat.np is not None and adapter.vectorizable
 
     # ------------------------------------------------------------------
     # Entry point
@@ -562,21 +556,22 @@ class SoaKernel:
     # ------------------------------------------------------------------
 
     def _admit_batch(
-        self, loads: List[int]
-    ) -> Tuple[int, List[int], List[int], List[int], int]:
+        self, columns: PacketColumns, loads: List[int]
+    ) -> Tuple[int, List[Sequence[Any]], int]:
         """The inject phase against per-node loads (by node index).
 
-        Returns ``(generated, ids, sources, destinations, backlog)``:
-        the admitted packets as rows, which the caller appends to its
-        columns.
+        Returns ``(generated, fresh, backlog)``: ``fresh`` is the block
+        of admitted rows the caller appends to its table
+        (:meth:`PacketColumns.fresh_rows`), empty when none was
+        admitted.
         """
         source = self.kernel.injection
-        if source is None:
-            return 0, [], [], [], 0
+        assert source is not None
         generated, ids, sources, destinations = source.admit_batch(
             self.kernel.time, loads
         )
-        return generated, ids, sources, destinations, source.backlog_size()
+        fresh = columns.fresh_rows(ids, sources, destinations) if ids else []
+        return generated, fresh, source.backlog_size()
 
     def _writeback(
         self, columns: PacketColumns
@@ -674,18 +669,12 @@ class SoaKernel:
             tables,
             sources=source is not None or on_deliver is not None,
         )
-        ids = columns.ids
-        pos = columns.pos
-        dest = columns.dest
-        dcs = columns.dest_coords
-        entry = columns.entry
-        rl = columns.restricted_last
-        al = columns.advanced_last
-        hops = columns.hops
-        adv = columns.advances
-        defl = columns.deflections
-        srcs = columns.sources
-        by_id = columns.by_id
+        state = columns.table
+        # Admission and compaction change the columns in place, so
+        # these names stay bound for the whole run.
+        ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs = (
+            columns.fields()
+        )
 
         while kernel.time < until:
             if stop_when_empty and not pos:
@@ -696,16 +685,11 @@ class SoaKernel:
                 loads = [0] * num_nodes
                 for node_idx in pos:
                     loads[node_idx] += 1
-                (
-                    generated,
-                    new_ids,
-                    new_sources,
-                    new_dests,
-                    backlog,
-                ) = self._admit_batch(loads)
-                if new_ids:
-                    columns.append_rows(new_ids, new_sources, new_dests)
-                injected = len(new_ids)
+                generated, fresh, backlog = self._admit_batch(columns, loads)
+                if fresh:
+                    injected = len(fresh[IDS])
+                    for column, rows in zip(state, fresh):
+                        column.extend(rows)
             t1 = clock() if clock is not None else 0
 
             step_index = kernel.time
@@ -869,9 +853,10 @@ class SoaKernel:
             if delivered:
                 if source is None:
                     # A batch run's result reads the problem's packets.
-                    for row in delivered:
-                        packet = columns.writeback_row(row)
-                        del by_id[packet.id]
+                    for packet in columns.write_rows(
+                        state,
+                        lambda column: [column[row] for row in delivered],
+                    ):
                         packet.delivered_at = now
                 if on_deliver is not None:
                     assert srcs is not None
@@ -896,17 +881,6 @@ class SoaKernel:
                 for row in delivered:
                     keep[row] = False
                 columns.compact(keep)
-                ids = columns.ids
-                pos = columns.pos
-                dest = columns.dest
-                dcs = columns.dest_coords
-                entry = columns.entry
-                rl = columns.restricted_last
-                al = columns.advanced_last
-                hops = columns.hops
-                adv = columns.advances
-                defl = columns.deflections
-                srcs = columns.sources
             t5 = clock() if clock is not None else 0
             if profiler is not None:
                 profiler.record_step(
@@ -942,7 +916,9 @@ class SoaKernel:
         Only legal for RNG-free policies, where per-node decisions are
         pure functions of each node's rows (visit order immaterial).
         A batch kernel returns, written back, once fewer than
-        :data:`VECTOR_MIN_ROWS` packets remain in flight.
+        :data:`VECTOR_MIN_ROWS` packets remain in flight.  The rows
+        are the :class:`PacketColumns` table as numpy arrays in table
+        order, which a step updates in place.
         """
         np = _compat.np
         assert np is not None
@@ -973,31 +949,24 @@ class SoaKernel:
         )
         code_kind = adapter.code_kind
         prefer_type_a = adapter.prefer_type_a
-        directions = tables.directions
         clock = profiler.clock if profiler is not None else None
+
+        def gather(nodes: Any, dest_coords: List[Any]) -> Any:
+            """Packed goodness/distance sums of (node, destination)
+            rows: d gathers, one add chain."""
+            acc = packed_v[0][coords_v[0][nodes] * side1 + dest_coords[0]]
+            for axis in range(1, dimension):
+                acc = acc + packed_v[axis][
+                    coords_v[axis][nodes] * side1 + dest_coords[axis]
+                ]
+            return acc
 
         columns = PacketColumns.pack(
             kernel.in_flight,
             tables,
             sources=source is not None or on_deliver is not None,
         )
-        by_id = columns.by_id
-        src: Any = None
-        if columns.sources is not None:
-            src = np.asarray(columns.sources, dtype=np.int64)
-        ids = np.asarray(columns.ids, dtype=np.int64)
-        pos = np.asarray(columns.pos, dtype=np.int64)
-        dest = np.asarray(columns.dest, dtype=np.int64)
-        dcs = [
-            np.asarray(column, dtype=np.int64)
-            for column in columns.dest_coords
-        ]
-        entry = np.asarray(columns.entry, dtype=np.int64)
-        rl = np.asarray(columns.restricted_last, dtype=bool)
-        al = np.asarray(columns.advanced_last, dtype=bool)
-        hops = np.asarray(columns.hops, dtype=np.int64)
-        adv = np.asarray(columns.advances, dtype=np.int64)
-        defl = np.asarray(columns.deflections, dtype=np.int64)
+        state = columns.arrays(np)
         # Random-rank: the rows in rank order (ties by row), sorted
         # once here and carried through every compaction, so a step
         # only radix-orders it by node.
@@ -1006,62 +975,39 @@ class SoaKernel:
             rank_of = adapter.rank_of
             rank_order = np.argsort(
                 np.asarray(
-                    [rank_of(packet_id) for packet_id in columns.ids],
+                    [rank_of(packet_id) for packet_id in columns.table[IDS]],
                     dtype=np.float64,
                 ),
                 kind="stable",
             )
 
         while kernel.time < until:
-            if pos.shape[0] < min_rows:
+            if state[POS].shape[0] < min_rows:
                 break
             t0 = clock() if clock is not None else 0
             generated = injected = backlog = 0
             if source is not None:
                 # Per-node loads from one bincount; the source's rows
-                # join the columns with no Packet behind them.
-                (
-                    generated,
-                    new_ids,
-                    new_sources,
-                    new_dests,
-                    backlog,
-                ) = self._admit_batch(
-                    np.bincount(pos, minlength=num_nodes).tolist()
+                # join the table with no Packet behind them.
+                generated, fresh, backlog = self._admit_batch(
+                    columns,
+                    np.bincount(state[POS], minlength=num_nodes).tolist(),
                 )
-                injected = len(new_ids)
-                if injected:
-                    fresh = np.array(new_sources, dtype=np.int64)
-                    fresh_dest = np.array(new_dests, dtype=np.int64)
-                    zeros = np.zeros(injected, dtype=np.int64)
-                    unset = np.zeros(injected, dtype=bool)
-                    ids = np.concatenate(
-                        [ids, np.array(new_ids, dtype=np.int64)]
-                    )
-                    src = np.concatenate([src, fresh])
-                    pos = np.concatenate([pos, fresh])
-                    dest = np.concatenate([dest, fresh_dest])
-                    dcs = [
-                        np.concatenate([column, coords[fresh_dest]])
-                        for column, coords in zip(dcs, coords_v)
+                if fresh:
+                    injected = len(fresh[IDS])
+                    state = [
+                        np.concatenate((array, np.asarray(rows, array.dtype)))
+                        for array, rows in zip(state, fresh)
                     ]
-                    entry = np.concatenate([entry, zeros - 1])
-                    rl = np.concatenate([rl, unset])
-                    al = np.concatenate([al, unset])
-                    hops = np.concatenate([hops, zeros])
-                    adv = np.concatenate([adv, zeros])
-                    defl = np.concatenate([defl, zeros])
             t1 = clock() if clock is not None else 0
 
+            ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs = (
+                columns.fields(state)
+            )
             step_index = kernel.time
             m = int(pos.shape[0])
             routed = m
-            # Good masks + distances: d gathers, one add chain.
-            acc = packed_v[0][coords_v[0][pos] * side1 + dcs[0]]
-            for axis in range(1, dimension):
-                acc = acc + packed_v[axis][
-                    coords_v[axis][pos] * side1 + dcs[axis]
-                ]
+            acc = gather(pos, dcs)
             gm = acc & mask_all
             total_distance = int((acc >> shift).sum())
 
@@ -1078,9 +1024,10 @@ class SoaKernel:
                     coords_v, nbr_v, dimension, two_d, step_index,
                 )
             else:
+                # Restricted rows: a single good direction.
+                single = (gm & (gm - 1)) == 0
                 # Node load stats + priority order from one radix order.
                 if code_kind == CODE_RESTRICTED:
-                    single = (gm & (gm - 1)) == 0
                     a_code = 0 if prefer_type_a else 1
                     restricted_codes = np.where(
                         rl & al, a_code, 1 - a_code
@@ -1130,18 +1077,17 @@ class SoaKernel:
                     dirs = np.empty(0, dtype=np.int64)
                     max_load = bad_nodes = packets_in_bad = 0
 
-                adv_now = ((gm >> dirs) & 1).astype(bool)
-                advancing = int(adv_now.sum())
+                # Move: flags, position, counters, in place.
+                rl[:] = single
+                np.not_equal((gm >> dirs) & 1, 0, out=al)
+                advancing = int(al.sum())
                 moved = m
-                # Move: flags, position, counters — all columns.
-                rl = (gm & (gm - 1)) == 0
-                al = adv_now
-                pos = nbr_v[pos * two_d + dirs]
+                pos[:] = nbr_v[pos * two_d + dirs]
                 if set_entry:
-                    entry = dirs
-                hops = hops + 1
-                adv = adv + adv_now
-                defl = defl + ~adv_now
+                    entry[:] = dirs
+                hops += 1
+                adv += al
+                defl += ~al
                 delivered_rows = np.flatnonzero(pos == dest)
             t4 = clock() if clock is not None else 0
 
@@ -1152,75 +1098,33 @@ class SoaKernel:
                 rows = delivered_rows
                 if source is None:
                     # A batch run's result reads the problem's packets:
-                    # write each delivered row back into its own, from
                     # one .tolist() slice of the delivered rows per
                     # column, so no numpy scalar is read per packet.
-                    entries: Iterable[Optional[int]] = (
-                        entry[rows].tolist()
-                        if set_entry and not buffered
-                        else repeat(None)
-                    )
-                    for (
-                        packet_id,
-                        node_idx,
-                        restricted,
-                        advanced,
-                        hop_count,
-                        advance_count,
-                        deflection_count,
-                        direction,
-                    ) in zip(
-                        ids[rows].tolist(),
-                        pos[rows].tolist(),
-                        rl[rows].tolist(),
-                        al[rows].tolist(),
-                        hops[rows].tolist(),
-                        adv[rows].tolist(),
-                        defl[rows].tolist(),
-                        entries,
+                    for packet in columns.write_rows(
+                        state, lambda array: array[rows].tolist()
                     ):
-                        packet = by_id.pop(packet_id)
-                        packet.location = index_node[node_idx]
-                        if direction is not None:
-                            packet.entry_direction = directions[direction]
-                        packet.restricted_last_step = restricted
-                        packet.advanced_last_step = advanced
-                        packet.hops = hop_count
-                        packet.advances = advance_count
-                        packet.deflections = deflection_count
                         packet.delivered_at = now
                 if on_deliver is not None:
                     # Ascending row order = ascending id.  Shortest
                     # distances: the step's gathers, at the sources.
-                    born = src[rows]
-                    span = packed_v[0][
-                        coords_v[0][born] * side1 + dcs[0][rows]
-                    ]
-                    for axis in range(1, dimension):
-                        span = span + packed_v[axis][
-                            coords_v[axis][born] * side1 + dcs[axis][rows]
-                        ]
                     on_deliver(
                         ids[rows].tolist(),
                         now,
                         hops[rows].tolist(),
                         defl[rows].tolist(),
-                        (span >> shift).tolist(),
+                        (
+                            gather(srcs[rows], [dc[rows] for dc in dcs])
+                            >> shift
+                        ).tolist(),
                     )
-                keep = np.ones(pos.shape[0], dtype=bool)
-                keep[delivered_rows] = False
-                ids = ids[keep]
-                pos = pos[keep]
-                dest = dest[keep]
-                dcs = [column[keep] for column in dcs]
-                entry = entry[keep]
-                rl = rl[keep]
-                al = al[keep]
-                hops = hops[keep]
-                adv = adv[keep]
-                defl = defl[keep]
-                if src is not None:
-                    src = src[keep]
+                keep = np.ones(m, dtype=bool)
+                keep[rows] = False
+                # Unbind the step's names first, so each column is freed
+                # as its compacted copy is made: one table's worth of
+                # memory, not two, stays in cache.
+                del ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs
+                for index, array in enumerate(state):
+                    state[index] = array[keep]
                 if rank_order is not None:
                     rank_order = compact_order(np, rank_order, keep)
             t5 = clock() if clock is not None else 0
@@ -1248,20 +1152,8 @@ class SoaKernel:
             )
 
         decisions.flush(np)
-        # Restore object-kernel state from the arrays (.tolist() yields
-        # Python ints and bools).
-        columns.ids = ids.tolist()
-        columns.pos = pos.tolist()
-        columns.dest = dest.tolist()
-        columns.dest_coords = [column.tolist() for column in dcs]
-        columns.entry = entry.tolist()
-        columns.restricted_last = rl.tolist()
-        columns.advanced_last = al.tolist()
-        columns.hops = hops.tolist()
-        columns.advances = adv.tolist()
-        columns.deflections = defl.tolist()
-        if src is not None:
-            columns.sources = src.tolist()
+        # .tolist() yields Python ints and bools.
+        columns.table = [array.tolist() for array in state]
         self._writeback(columns)
 
     def _step_buffered_vectorized(

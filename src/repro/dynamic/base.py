@@ -146,18 +146,6 @@ class DynamicEngineBase(EngineBase):
         self._source.prepare(self.mesh, self.rng)
 
     # ------------------------------------------------------------------
-    # Source state under the engines' historical names
-    # ------------------------------------------------------------------
-
-    @property
-    def _next_id(self) -> PacketId:
-        return self._source.next_id
-
-    @property
-    def _generated_at(self) -> Dict[PacketId, int]:
-        return self._source.generated_at
-
-    # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
 

@@ -92,24 +92,31 @@ class TestPackUnpackRoundTrip:
         assert any(p.deflections for p in packets)
         tables = arc_tables_for(Mesh(2, 5))
         node_index = tables.node_index
+
+        def rows_of(columns):
+            ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs = (
+                columns.fields()
+            )
+            return [
+                (
+                    ids[row],
+                    pos[row],
+                    dest[row],
+                    [column[row] for column in dcs],
+                    entry[row],
+                    rl[row],
+                    al[row],
+                    hops[row],
+                    adv[row],
+                    defl[row],
+                    srcs[row],
+                )
+                for row in range(len(columns))
+            ]
+
         packed = PacketColumns.pack(iter(packets), tables, sources=True)
         # Each packed row is its packet's state, encoded row by row.
-        assert [
-            (
-                packed.ids[row],
-                packed.pos[row],
-                packed.dest[row],
-                [column[row] for column in packed.dest_coords],
-                packed.entry[row],
-                packed.restricted_last[row],
-                packed.advanced_last[row],
-                packed.hops[row],
-                packed.advances[row],
-                packed.deflections[row],
-                packed.sources[row],
-            )
-            for row in range(len(packed))
-        ] == [
+        assert rows_of(packed) == [
             (
                 p.id,
                 node_index[p.location],
@@ -128,32 +135,47 @@ class TestPackUnpackRoundTrip:
             for p in packets
         ]
         assert list(packed.by_id.values()) == packets
-        assert PacketColumns.pack(packets, tables).sources is None
+        unsourced = PacketColumns.pack(packets, tables)
+        assert unsourced.fields()[-1] is None
+        assert unsourced.table == packed.table[:-1]
 
         # Admitted packets: their rows, appended one by one with no
-        # Packet behind them, equal the packed fresh packets, and the
-        # writeback builds those packets.
+        # Packet behind them and all at once as one block, equal the
+        # packed fresh packets, and the writeback builds those packets.
         fresh = [
             Packet(id=problem.k + 1, source=(2, 3), destination=(1, 5)),
             Packet(id=problem.k + 2, source=(5, 5), destination=(1, 1)),
             Packet(id=problem.k + 3, source=(2, 3), destination=(4, 2)),
         ]
-        appended = PacketColumns(tables, sources=True)
+        reference = PacketColumns.pack(fresh, tables, sources=True)
+        one_by_one = PacketColumns(tables, sources=True)
         for packet in fresh:
-            appended.append_rows(
+            block = one_by_one.fresh_rows(
                 [packet.id],
                 [node_index[packet.source]],
                 [node_index[packet.destination]],
             )
-        reference = PacketColumns.pack(fresh, tables, sources=True)
-        for name in PacketColumns.__slots__:
-            if name != "by_id":
-                expected = getattr(reference, name)
-                assert getattr(appended, name) == expected, name
-        assert appended.by_id == {}
-        rebuilt = appended.unpack()
-        assert rebuilt == fresh
-        assert [_snapshot(p) for p in rebuilt] == [_snapshot(p) for p in fresh]
+            for column, rows in zip(one_by_one.table, block):
+                column.extend(rows)
+        at_once = PacketColumns(tables, sources=True)
+        for column, rows in zip(
+            at_once.table,
+            at_once.fresh_rows(
+                [packet.id for packet in fresh],
+                [node_index[packet.source] for packet in fresh],
+                [node_index[packet.destination] for packet in fresh],
+            ),
+        ):
+            column.extend(rows)
+        for appended in (one_by_one, at_once):
+            assert rows_of(appended) == rows_of(reference)
+            assert appended.table == reference.table
+            assert appended.by_id == {}
+            rebuilt = appended.unpack()
+            assert rebuilt == fresh
+            assert [_snapshot(p) for p in rebuilt] == [
+                _snapshot(p) for p in fresh
+            ]
 
     def test_pack_does_not_mutate_packets(self):
         packets = self._mid_run_packets()
@@ -178,32 +200,126 @@ class TestPackUnpackRoundTrip:
         restored = columns.unpack()
         assert restored == packets  # same objects, row order = id order
         assert [_snapshot(p) for p in restored] == expected
+        assert all(
+            type(p.restricted_last_step) is bool
+            and type(p.advanced_last_step) is bool
+            for p in restored
+        )
 
     def test_rows_follow_in_flight_order(self):
         packets = self._mid_run_packets()
         columns = PacketColumns.pack(packets, arc_tables_for(Mesh(2, 5)))
-        assert columns.ids == [p.id for p in packets]
+        ids, pos, dest = columns.fields()[:3]
+        assert ids == [p.id for p in packets]
         assert len(columns) == len(packets)
         tables = columns.tables
-        assert [tables.index_node[i] for i in columns.pos] == [
+        assert [tables.index_node[i] for i in pos] == [
             p.location for p in packets
         ]
-        assert [tables.index_node[i] for i in columns.dest] == [
+        assert [tables.index_node[i] for i in dest] == [
             p.destination for p in packets
         ]
 
     def test_compact_drops_unkept_rows(self):
         packets = self._mid_run_packets()
-        columns = PacketColumns.pack(packets, arc_tables_for(Mesh(2, 5)))
-        keep = [row % 2 == 0 for row in range(len(columns))]
-        kept_ids = [pid for pid, flag in zip(columns.ids, keep) if flag]
-        columns.compact(keep)
-        assert columns.ids == kept_ids
-        assert len(columns.pos) == len(kept_ids)
-        assert all(
-            len(axis_column) == len(kept_ids)
-            for axis_column in columns.dest_coords
+        columns = PacketColumns.pack(
+            packets, arc_tables_for(Mesh(2, 5)), sources=True
         )
+        keep = [row % 2 == 0 for row in range(len(columns))]
+        expected = [
+            [value for value, flag in zip(column, keep) if flag]
+            for column in columns.table
+        ]
+        columns.compact(keep)
+        assert columns.table == expected
+        assert len(columns) == sum(keep)
+
+    def test_compact_keeps_each_column_object(self):
+        # The columnar loop binds its column names once per run.
+        packets = self._mid_run_packets()
+        columns = PacketColumns.pack(
+            packets, arc_tables_for(Mesh(2, 5)), sources=True
+        )
+        ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs = (
+            columns.fields()
+        )
+        bound = [ids, pos, dest, entry, rl, al, hops, adv, defl, *dcs, srcs]
+        keep = [row % 3 == 0 for row in range(len(columns))]
+        kept_ids = [pid for pid, flag in zip(ids, keep) if flag]
+        columns.compact(keep)
+        assert len(bound) == len(columns.table)
+        assert all(
+            name is column for name, column in zip(bound, columns.table)
+        )
+        assert ids == kept_ids
+
+    def test_numpy_round_trip(self):
+        np = pytest.importorskip("numpy")
+        packets = self._mid_run_packets()
+        for sources in (False, True):
+            columns = PacketColumns.pack(
+                packets, arc_tables_for(Mesh(2, 5)), sources=sources
+            )
+            arrays = columns.arrays(np)
+            assert len(arrays) == len(columns.table)
+            back = [array.tolist() for array in arrays]
+            assert back == columns.table
+            assert [type(column[0]) for column in back] == [
+                type(column[0]) for column in columns.table
+            ]
+            rl, al = columns.fields(back)[4:6]
+            assert {type(flag) for flag in rl + al} == {bool}
+        # An empty table keeps its dtypes, so admitted rows join it as
+        # integers and flags.
+        empty = PacketColumns(arc_tables_for(Mesh(2, 5)), sources=True)
+        dtypes = [array.dtype for array in empty.arrays(np)]
+        grown = [
+            np.concatenate((array, block)).dtype
+            for array, block in zip(
+                empty.arrays(np), empty.fresh_rows([7], [3], [12])
+            )
+        ]
+        assert grown == dtypes
+        assert {str(dtype) for dtype in dtypes} == {"int64", "bool"}
+
+    def test_write_rows_block_equals_row_by_row(self):
+        tables = arc_tables_for(Mesh(2, 5))
+        node_index = tables.node_index
+        packets = self._mid_run_packets()
+        columns = PacketColumns.pack(packets, tables, sources=True)
+        for column, rows in zip(
+            columns.table,
+            columns.fresh_rows(
+                [100, 101], [node_index[(2, 2)], 0], [node_index[(4, 1)], 7]
+            ),
+        ):
+            column.extend(rows)
+        expected = columns.unpack()
+        snapshots = [_snapshot(p) for p in expected]
+        # Scramble the packed packets, then write the rows back alone.
+        for packet in packets:
+            packet.hops += 50
+            packet.entry_direction = None
+        picked = [0, 2, len(columns) - 2, len(columns) - 1]
+        one_by_one = [
+            columns.write_rows(columns.table, lambda column: [column[row]])[0]
+            for row in picked
+        ]
+        for packet in packets:
+            packet.hops += 50
+        block = columns.write_rows(
+            columns.table, lambda column: [column[row] for row in picked]
+        )
+        assert block == one_by_one == [expected[row] for row in picked]
+        assert [_snapshot(p) for p in block] == [
+            snapshots[row] for row in picked
+        ]
+        # Packed rows write into their own Packet; an admitted row,
+        # which has none, gets a new one each time.
+        assert block[0] is packets[0] and block[1] is packets[2]
+        assert block[2] is not one_by_one[2]
+        assert block[2].source == (2, 2) and block[3].id == 101
+        assert columns.by_id == dict(zip(columns.table[0][:-2], packets))
 
 
 class TestPathSelection:
@@ -223,13 +339,6 @@ class TestPathSelection:
         policy = RestrictedPriorityPolicy(tie_break="random")
         kernel, adapter = self._kernel_for(policy)
         assert SoaKernel(kernel, adapter).vectorized is False
-
-    def test_force_python_skips_numpy(self):
-        kernel, adapter = self._kernel_for(RestrictedPriorityPolicy())
-        assert (
-            SoaKernel(kernel, adapter, force_python=True).vectorized
-            is False
-        )
 
     def test_missing_numpy_auto_selects_pure_python(self):
         kernel, adapter = self._kernel_for(RestrictedPriorityPolicy())

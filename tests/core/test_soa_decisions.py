@@ -297,9 +297,10 @@ class TestOverfullNode:
         kernel, _ = _overfull_kernel()
         _raises_at_node(lambda: kernel.run_lean(1))
 
-    def test_columnar_loop_raises(self):
+    def test_columnar_loop_raises(self, monkeypatch):
         kernel, adapter = _overfull_kernel()
-        soa = SoaKernel(kernel, adapter, force_python=True)
+        monkeypatch.setattr(_compat, "np", None)
+        soa = SoaKernel(kernel, adapter)
         _raises_at_node(lambda: soa.run(1))
 
     @needs_numpy

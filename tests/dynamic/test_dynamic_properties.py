@@ -46,12 +46,12 @@ class TestHotPotatoDynamicProperties:
         )
         steps, _, stats = run_rows(engine, 120)
         generated = sum(row[1] for row in steps)
-        injected = engine._next_id  # ids are issued at injection
+        injected = engine._source.next_id  # ids are issued at injection
         backlog = sum(len(q) for q in engine.backlog.values())
         assert generated == injected + backlog
         # Injected packets are exactly the in-flight plus delivered
-        # ones; _generated_at keeps entries only for undelivered.
-        assert len(engine._generated_at) == len(engine.in_flight)
+        # ones; generated_at keeps entries only for undelivered.
+        assert len(engine._source.generated_at) == len(engine.in_flight)
         delivered = injected - len(engine.in_flight)
         assert delivered >= stats.delivered_count  # warm-up excluded
 
@@ -144,5 +144,5 @@ class TestFaultedGenerationTable:
         )
         for _ in range(6):
             engine.run(50)
-            assert len(engine._generated_at) == len(engine.in_flight)
+            assert len(engine._source.generated_at) == len(engine.in_flight)
         assert engine.telemetry.dropped > 0, "the schedule dropped nothing"

@@ -76,7 +76,7 @@ def _dynamic_snapshot(engine: Any, steps: int) -> Dict[str, Any]:
         "horizon": stats.horizon,
         "final_in_flight": stats.final_in_flight,
         "final_backlog": stats.final_backlog,
-        "next_id": engine._next_id,
+        "next_id": engine._source.next_id,
         "samples": [list(row) for row in rows.steps],
         "deliveries": [list(row) for row in rows.counted],
     }

@@ -149,7 +149,7 @@ class TestDynamicDifferential:
         )
         assert run_rows(lean, steps) == run_rows(instrumented, steps)
         assert lean.telemetry == instrumented.telemetry
-        assert lean._next_id == instrumented._next_id
+        assert lean._source.next_id == instrumented._source.next_id
         assert [p.id for p in lean.in_flight] == [
             p.id for p in instrumented.in_flight
         ]

@@ -375,7 +375,7 @@ class TestDynamicSoaDifferential:
         )
         assert run_rows(obj, steps) == run_rows(soa, steps)
         assert obj.telemetry == soa.telemetry
-        assert obj._next_id == soa._next_id
+        assert obj._source.next_id == soa._source.next_id
         assert [p.id for p in obj.in_flight] == [
             p.id for p in soa.in_flight
         ]

@@ -285,13 +285,12 @@ class TestLoopChoice:
         assert engine.telemetry.max_in_flight < VECTOR_MIN_ROWS
         assert [name for name, _, _ in loops] == ["_run_vectorized"]
 
-    def test_columnar_kernel_never_enters_numpy(self, loops):
+    def test_columnar_kernel_never_enters_numpy(self, loops, monkeypatch):
         engine = _engine("restricted-priority", 4 * VECTOR_MIN_ROWS, "soa")
         engine._start()
         adapter = soa.adapter_for(
             engine.policy, buffered=False, has_injection=False
         )
-        soa.SoaKernel(engine._kernel, adapter, force_python=True).run(
-            engine.max_steps
-        )
+        monkeypatch.setattr(soa._compat, "np", None)
+        soa.SoaKernel(engine._kernel, adapter).run(engine.max_steps)
         assert [name for name, _, _ in loops] == ["_run_columnar"]
