@@ -2,9 +2,10 @@
 
 All greedy algorithms in this library follow one per-node template:
 
-1. build the bipartite *good graph*: packets on one side, the node's
-   outgoing directions on the other, with an edge when the direction is
-   good for the packet (Definition 5);
+1. take the bipartite *good graph* from the view (``NodeView.good``):
+   packets on one side, the node's outgoing directions on the other,
+   with an edge when the direction is good for the packet
+   (Definition 5);
 2. compute a **maximum matching**, offering augmenting paths to packets
    in a subclass-defined **priority order** (see
    :mod:`repro.core.matching` for why this realizes both greediness and
@@ -20,9 +21,10 @@ guarantee of Definition 6 — comes from the template.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.matching import priority_maximum_matching
+from repro.core.matching import kuhn_matching
 from repro.core.node_view import NodeView
 from repro.core.packet import Packet
 from repro.core.policy import Assignment, RoutingPolicy
@@ -83,6 +85,29 @@ def deflect(
     return result
 
 
+def deflect_unmatched(
+    rule: str,
+    view: NodeView,
+    ordered: Sequence[Packet],
+    matching: Dict[PacketId, Direction],
+    rng: random.Random,
+) -> Assignment:
+    """Complete a node's matching with the deflection step, in place.
+
+    ``ordered`` lists the view's packets in matching order.  The step
+    runs only when a packet is unmatched or the rule draws: the
+    ``"random"`` rule shuffles the free directions even when every
+    packet advanced, and runs that replay the policy's RNG stream count
+    on that draw.
+    """
+    if len(matching) < len(ordered) or rule == "random":
+        used = set(matching.values())
+        free = [d for d in view.out_directions if d not in used]
+        unmatched = [p for p in ordered if p.id not in matching]
+        matching.update(deflect(rule, view, unmatched, free, rng))
+    return matching
+
+
 class GreedyMatchingPolicy(RoutingPolicy):
     """Base class implementing the matching template described above.
 
@@ -139,29 +164,20 @@ class GreedyMatchingPolicy(RoutingPolicy):
     # ------------------------------------------------------------------
 
     def _ordered_packets(self, view: NodeView) -> List[Packet]:
+        # The key runs for every packet, a lone one included: a key may
+        # draw from the policy's RNG (random-rank's lazy ranks).
         packets = list(view.packets)
         if self.tie_break == "random":
             self._rng.shuffle(packets)
-        packets.sort(key=lambda p: self.priority_key(view, p))
+        packets.sort(key=partial(self.priority_key, view))
         return packets
 
     def assign(self, view: NodeView) -> Assignment:
         ordered = self._ordered_packets(view)
-        adjacency = {
-            packet.id: list(view.good_directions(packet))
-            for packet in view.packets
-        }
-        matching = priority_maximum_matching(
-            adjacency, [packet.id for packet in ordered]
+        matching = kuhn_matching(view.good, [packet.id for packet in ordered])
+        return deflect_unmatched(
+            self.deflection, view, ordered, matching, self._rng
         )
-        used = set(matching.values())
-        free = [d for d in view.out_directions if d not in used]
-        unmatched = [p for p in ordered if p.id not in matching]
-        assignment: Assignment = dict(matching)
-        assignment.update(
-            deflect(self.deflection, view, unmatched, free, self._rng)
-        )
-        return assignment
 
     def __repr__(self) -> str:
         return (

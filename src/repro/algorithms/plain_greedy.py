@@ -12,10 +12,13 @@ excellently, matching the simulation folklore the paper cites.
 from __future__ import annotations
 
 import random
-from typing import Dict
 
-from repro.algorithms.base import DEFLECTION_RULES, GreedyMatchingPolicy, deflect
-from repro.core.matching import greedy_maximal_matching
+from repro.algorithms.base import (
+    DEFLECTION_RULES,
+    GreedyMatchingPolicy,
+    deflect_unmatched,
+)
+from repro.core.matching import first_fit_matching
 from repro.core.node_view import NodeView
 from repro.core.policy import Assignment, RoutingPolicy
 from repro.core.problem import RoutingProblem
@@ -84,17 +87,10 @@ class MaximalGreedyPolicy(RoutingPolicy):
         self._rng = spawn(rng, self.name)
 
     def assign(self, view: NodeView) -> Assignment:
-        adjacency = {
-            packet.id: list(view.good_directions(packet))
-            for packet in view.packets
-        }
-        order = [packet.id for packet in view.packets]
-        matching: Dict = greedy_maximal_matching(adjacency, order)
-        used = set(matching.values())
-        free = [d for d in view.out_directions if d not in used]
-        unmatched = [p for p in view.packets if p.id not in matching]
-        assignment: Assignment = dict(matching)
-        assignment.update(
-            deflect(self.deflection, view, unmatched, free, self._rng)
+        packets = view.packets
+        matching = first_fit_matching(
+            view.good, [packet.id for packet in packets]
         )
-        return assignment
+        return deflect_unmatched(
+            self.deflection, view, packets, matching, self._rng
+        )

@@ -28,16 +28,47 @@ mesh pickling per sweep.  The package splits into four layers:
   ``repro campaign status --watch``.
 """
 
-from repro.campaign.orchestrator import Campaign, CampaignResult
-from repro.campaign.pool import WorkerPool
-from repro.campaign.progress import (
-    CampaignProgress,
-    registry_from_state,
-    watch,
-)
-from repro.campaign.results import CaseFailure, ExperimentPoint
-from repro.campaign.spec import CaseSpec, spec_key
-from repro.campaign.store import CampaignStore
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - the names resolve lazily below
+    from repro.campaign.orchestrator import Campaign, CampaignResult
+    from repro.campaign.pool import WorkerPool
+    from repro.campaign.progress import (
+        CampaignProgress,
+        registry_from_state,
+        watch,
+    )
+    from repro.campaign.results import CaseFailure, ExperimentPoint
+    from repro.campaign.spec import CaseSpec, spec_key
+    from repro.campaign.store import CampaignStore
+
+#: Public name -> the submodule that defines it.  Resolved on first
+#: access (PEP 562), so importing one submodule (the CLI reads
+#: :mod:`repro.campaign.spec`) does not load the pool and with it
+#: ``multiprocessing``.
+_EXPORTS = {
+    "Campaign": "orchestrator",
+    "CampaignResult": "orchestrator",
+    "WorkerPool": "pool",
+    "CampaignProgress": "progress",
+    "registry_from_state": "progress",
+    "watch": "progress",
+    "CaseFailure": "results",
+    "ExperimentPoint": "results",
+    "CaseSpec": "spec",
+    "spec_key": "spec",
+    "CampaignStore": "store",
+}
+
+
+def __getattr__(name: str) -> Any:
+    """PEP 562 lazy re-export of the package's public names."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"repro.campaign.{module}"), name)
+
 
 __all__ = [
     "Campaign",

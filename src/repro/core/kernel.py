@@ -619,7 +619,7 @@ class StepKernel:
                 if clock is not None:
                     decide_ns += clock() - t_node
                 by_direction = arcs.by_direction
-                good_map = view._good
+                good_map = view.good
                 seen = set()
                 if buffered:
                     if degrade:
@@ -779,7 +779,7 @@ class StepKernel:
         policy decides for: the ``live`` lowest-id packets.  Only
         called while something is down.
         """
-        good = view._good
+        good = view.good
         for packet in view.packets[live:]:
             packet.advanced_last_step = False
             packet.restricted_last_step = len(good[packet.id]) == 1

@@ -55,10 +55,30 @@ def priority_maximum_matching(
     """
     if set(order) != set(adjacency):
         raise ValueError("order must list exactly the adjacency keys")
+    return kuhn_matching(adjacency, order)
+
+
+def kuhn_matching(
+    adjacency: Mapping[Left, Sequence[Right]],
+    order: Sequence[Left],
+) -> Dict[Left, Right]:
+    """The Kuhn core of :func:`priority_maximum_matching`, unchecked.
+
+    For callers that built ``order`` from ``adjacency`` themselves (the
+    policy template), so the inputs are not checked again.  A vertex
+    whose first option is free takes it without opening a search: that
+    is the arc the search would take first, so the result equals one
+    :func:`_augment` call per vertex in ``order``.
+    """
     match_of_right: Dict[Right, Left] = {}
     match_of_left: Dict[Left, Right] = {}
     for left in order:
-        _augment(left, adjacency, match_of_right, match_of_left, set())
+        options = adjacency[left]
+        if options and options[0] not in match_of_right:
+            match_of_right[options[0]] = left
+            match_of_left[left] = options[0]
+        else:
+            _augment(left, adjacency, match_of_right, match_of_left, set())
     return match_of_left
 
 
@@ -101,6 +121,15 @@ def greedy_maximal_matching(
     """
     if set(order) != set(adjacency):
         raise ValueError("order must list exactly the adjacency keys")
+    return first_fit_matching(adjacency, order)
+
+
+def first_fit_matching(
+    adjacency: Mapping[Left, Sequence[Right]],
+    order: Sequence[Left],
+) -> Dict[Left, Right]:
+    """The core of :func:`greedy_maximal_matching`, unchecked (the
+    caller built ``order`` from ``adjacency``)."""
     taken: Set[Right] = set()
     result: Dict[Left, Right] = {}
     for left in order:

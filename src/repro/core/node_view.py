@@ -13,12 +13,15 @@ direction for every packet in it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.packet import Packet, RestrictedType
 from repro.mesh.directions import Direction
 from repro.mesh.topology import Mesh
 from repro.types import Node, PacketId, Step
+
+_by_id = attrgetter("id")
 
 
 class NodeView:
@@ -36,7 +39,7 @@ class NodeView:
         "step",
         "packets",
         "out_directions",
-        "_good",
+        "good",
         "_types",
     )
 
@@ -47,8 +50,10 @@ class NodeView:
         self.node = node
         self.step = step
         #: Packets present, in ascending id order (deterministic).
-        self.packets: Tuple[Packet, ...] = tuple(
-            sorted(packets, key=lambda p: p.id)
+        self.packets: Tuple[Packet, ...] = (
+            tuple(sorted(packets, key=_by_id))
+            if len(packets) > 1
+            else tuple(packets)
         )
         #: Directions in which an arc leaves this node (shared with the
         #: mesh's per-node arc table; treat as immutable).
@@ -56,12 +61,17 @@ class NodeView:
             node
         ).out_directions
         good_of = mesh.good_directions_tuple
-        self._good: Dict[PacketId, Tuple[Direction, ...]] = {}
-        self._types: Dict[PacketId, RestrictedType] = {}
+        good: Dict[PacketId, Tuple[Direction, ...]] = {}
+        types: Dict[PacketId, RestrictedType] = {}
         for packet in self.packets:
-            good = good_of(node, packet.destination)
-            self._good[packet.id] = good
-            self._types[packet.id] = packet.classify(len(good) == 1)
+            directions = good_of(node, packet.destination)
+            good[packet.id] = directions
+            types[packet.id] = packet.classify(len(directions) == 1)
+        #: Each packet's good directions (Definition 5) by packet id, in
+        #: :attr:`packets` order: the adjacency of the node's matching
+        #: problem, read by the policy and the step loop alike.
+        self.good: Mapping[PacketId, Tuple[Direction, ...]] = good
+        self._types = types
 
     # ------------------------------------------------------------------
     # Per-packet queries
@@ -69,15 +79,15 @@ class NodeView:
 
     def good_directions(self, packet: Packet) -> Tuple[Direction, ...]:
         """The packet's good directions out of this node (Definition 5)."""
-        return self._good[packet.id]
+        return self.good[packet.id]
 
     def num_good(self, packet: Packet) -> int:
         """Number of good directions of the packet."""
-        return len(self._good[packet.id])
+        return len(self.good[packet.id])
 
     def is_restricted(self, packet: Packet) -> bool:
         """True when the packet has exactly one good direction (Section 4.1)."""
-        return len(self._good[packet.id]) == 1
+        return len(self.good[packet.id]) == 1
 
     def restricted_type(self, packet: Packet) -> RestrictedType:
         """Type A / type B / unrestricted classification (Figure 5)."""
@@ -104,7 +114,7 @@ class NodeView:
         """Upper bound on simultaneously advancing packets here
         (number of distinct good directions over all packets)."""
         distinct = set()
-        for directions in self._good.values():
+        for directions in self.good.values():
             distinct.update(directions)
         return len(distinct)
 

@@ -13,7 +13,8 @@ step kernels operate on integers only.
 Every whole-table operation walks the table once: :meth:`pack`
 snapshots live ``Packet`` objects (without mutating them),
 :meth:`fresh_rows` builds the block of rows an injection source
-admits, :meth:`compact` drops delivered rows in place and
+admits (:meth:`fresh_arrays` the same block as numpy arrays),
+:meth:`compact` drops delivered rows in place and
 :meth:`write_rows` writes rows back into their ``Packet`` objects.  A
 run fed by an injection source also carries each row's source node:
 its admitted rows have no ``Packet`` behind them until
@@ -41,6 +42,15 @@ __all__ = ["PacketColumns", "IDS", "POS"]
 #: goodness/distance tables; the source node, when carried, is last.
 IDS, POS, DEST, ENTRY, RESTRICTED, ADVANCED = range(6)
 HOPS, ADVANCES, DEFLECTIONS, COORDS = range(6, 10)
+
+#: An admitted row's values in columns ``ENTRY`` to ``DEFLECTIONS``: no
+#: entry direction and no step history.
+FRESH_HISTORY = (-1, False, False, 0, 0, 0)
+
+
+def _dtype(np: Any, index: int) -> Any:
+    """A column's numpy dtype: the two flags ``bool``, else ``int64``."""
+    return bool if index in (RESTRICTED, ADVANCED) else np.int64
 
 
 class PacketColumns:
@@ -121,16 +131,42 @@ class PacketColumns:
             ids,
             sources,
             destinations,
-            [-1] * count,
-            [False] * count,
-            [False] * count,
-            [0] * count,
-            [0] * count,
-            [0] * count,
+            *([value] * count for value in FRESH_HISTORY),
             *(
                 [coords[node] for node in destinations]
                 for coords in self.tables.coords
             ),
+            sources,
+        ]
+
+    def fresh_arrays(
+        self,
+        np: Any,
+        coords: Sequence[Any],
+        ids: Sequence[PacketId],
+        sources: Sequence[int],
+        destinations: Sequence[int],
+    ) -> List[Any]:
+        """:meth:`fresh_rows` as numpy arrays with :meth:`arrays`'
+        dtypes, for the numpy step: ``coords`` holds the per-axis
+        coordinate tables as arrays, gathered at the destinations."""
+        assert self.sources, "columns carry no sources"
+        ids, sources, destinations = (
+            np.asarray(column, dtype=np.int64)
+            for column in (ids, sources, destinations)
+        )
+        count = len(ids)
+        return [
+            ids,
+            sources,
+            destinations,
+            *(
+                np.full(count, value, dtype=_dtype(np, index))
+                if value
+                else np.zeros(count, dtype=_dtype(np, index))
+                for index, value in enumerate(FRESH_HISTORY, ENTRY)
+            ),
+            *(axis[destinations] for axis in coords),
             sources,
         ]
 
@@ -150,10 +186,7 @@ class PacketColumns:
         """The table as numpy arrays, in table order: the two flags
         ``bool``, every other column ``int64``."""
         return [
-            np.asarray(
-                column,
-                dtype=bool if index in (RESTRICTED, ADVANCED) else np.int64,
-            )
+            np.asarray(column, dtype=_dtype(np, index))
             for index, column in enumerate(self.table)
         ]
 

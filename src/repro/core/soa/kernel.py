@@ -83,7 +83,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import lshift
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.kernel import PhaseSink, StepKernel, StepSummary
 from repro.core.soa import _compat
@@ -556,21 +556,32 @@ class SoaKernel:
     # ------------------------------------------------------------------
 
     def _admit_batch(
-        self, columns: PacketColumns, loads: List[int]
-    ) -> Tuple[int, List[Sequence[Any]], int]:
+        self,
+        columns: PacketColumns,
+        loads: List[int],
+        coords: Optional[List[Any]] = None,
+    ) -> Tuple[int, List[Any], int]:
         """The inject phase against per-node loads (by node index).
 
         Returns ``(generated, fresh, backlog)``: ``fresh`` is the block
-        of admitted rows the caller appends to its table
-        (:meth:`PacketColumns.fresh_rows`), empty when none was
-        admitted.
+        of admitted rows the caller appends to its table, empty when
+        none was admitted: lists (:meth:`PacketColumns.fresh_rows`),
+        or numpy arrays (:meth:`PacketColumns.fresh_arrays`) when the
+        caller passes the numpy coordinate views ``coords``.
         """
         source = self.kernel.injection
         assert source is not None
         generated, ids, sources, destinations = source.admit_batch(
             self.kernel.time, loads
         )
-        fresh = columns.fresh_rows(ids, sources, destinations) if ids else []
+        if not ids:
+            fresh: List[Any] = []
+        elif coords is None:
+            fresh = columns.fresh_rows(ids, sources, destinations)
+        else:
+            fresh = columns.fresh_arrays(
+                _compat.np, coords, ids, sources, destinations
+            )
         return generated, fresh, source.backlog_size()
 
     def _writeback(
@@ -992,11 +1003,12 @@ class SoaKernel:
                 generated, fresh, backlog = self._admit_batch(
                     columns,
                     np.bincount(state[POS], minlength=num_nodes).tolist(),
+                    coords_v,
                 )
                 if fresh:
                     injected = len(fresh[IDS])
                     state = [
-                        np.concatenate((array, np.asarray(rows, array.dtype)))
+                        np.concatenate((array, rows))
                         for array, rows in zip(state, fresh)
                     ]
             t1 = clock() if clock is not None else 0

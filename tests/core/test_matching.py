@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching import (
+    _augment,
     assign_leftovers,
     greedy_maximal_matching,
     is_maximal_matching,
+    kuhn_matching,
     maximum_matching_size,
     priority_maximum_matching,
 )
@@ -130,6 +132,36 @@ class TestPriorityMaximumMatching:
         matching = priority_maximum_matching(adjacency, order)
         if order and adjacency[order[0]]:
             assert order[0] in matching
+
+
+@st.composite
+def node_problem(draw):
+    """A node-local matching problem in dimension ``d``: up to ``2d``
+    packets and ``2d`` directions, with a priority order."""
+    dimension = draw(st.integers(1, 4))
+    rights = [f"d{j}" for j in range(draw(st.integers(1, 2 * dimension)))]
+    adjacency = {
+        f"p{i}": draw(
+            st.lists(st.sampled_from(rights), unique=True, max_size=len(rights))
+        )
+        for i in range(draw(st.integers(0, 2 * dimension)))
+    }
+    return adjacency, draw(st.permutations(list(adjacency)))
+
+
+class TestKuhnCore:
+    @given(node_problem())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_search_per_vertex(self, problem):
+        """The core's free-first-option shortcut takes exactly the arc a
+        full augmenting-path search would: same pairs, same order."""
+        adjacency, order = problem
+        match_of_right, expected = {}, {}
+        for left in order:
+            _augment(left, adjacency, match_of_right, expected, set())
+        matching = kuhn_matching(adjacency, order)
+        assert list(matching.items()) == list(expected.items())
+        assert priority_maximum_matching(adjacency, order) == matching
 
 
 def _brute_force_maximum(adjacency):
