@@ -58,7 +58,9 @@ def deflect(
       direction order (deterministic).
     * ``"reverse"`` — each packet prefers bouncing back along the arc
       it entered through; remaining conflicts fall back to order.
-    * ``"random"`` — a uniformly random pairing (uses ``rng``).
+    * ``"random"`` — a uniformly random pairing (uses ``rng``; fewer
+      than two free directions leave nothing to permute and draw
+      nothing).
     """
     if rule not in DEFLECTION_RULES:
         raise ValueError(
@@ -68,7 +70,8 @@ def deflect(
     free = list(free_directions)
     result: Dict[PacketId, Direction] = {}
     if rule == "random":
-        rng.shuffle(free)
+        if len(free) > 1:
+            rng.shuffle(free)
     elif rule == "reverse":
         remaining: List[Packet] = []
         for packet in unmatched:
@@ -96,9 +99,9 @@ def deflect_unmatched(
 
     ``ordered`` lists the view's packets in matching order.  The step
     runs only when a packet is unmatched or the rule draws: the
-    ``"random"`` rule shuffles the free directions even when every
-    packet advanced, and runs that replay the policy's RNG stream count
-    on that draw.
+    ``"random"`` rule shuffles two or more free directions even when
+    every packet advanced, and runs that replay the policy's RNG stream
+    count on that draw.
     """
     if len(matching) < len(ordered) or rule == "random":
         used = set(matching.values())
@@ -165,9 +168,11 @@ class GreedyMatchingPolicy(RoutingPolicy):
 
     def _ordered_packets(self, view: NodeView) -> List[Packet]:
         # The key runs for every packet, a lone one included: a key may
-        # draw from the policy's RNG (random-rank's lazy ranks).
+        # draw from the policy's RNG (random-rank's lazy ranks).  A
+        # shuffle of fewer than two packets draws nothing, so it is
+        # skipped.
         packets = list(view.packets)
-        if self.tie_break == "random":
+        if self.tie_break == "random" and len(packets) > 1:
             self._rng.shuffle(packets)
         packets.sort(key=partial(self.priority_key, view))
         return packets

@@ -9,7 +9,9 @@ cached per process keyed by the spec's ``shape``, so a worker that
 runs fifty cases on the same 16×16 mesh builds it once.  That cache is
 what a persistent pool buys over the per-sweep pools it replaced:
 measured on the 8-seed reference sweep, per-chunk mesh unpickling and
-memo-cache rebuilds were the entire parallel overhead.
+table rebuilds were the entire parallel overhead.  A cached mesh holds
+at most one arc table per node and nothing per (node, destination)
+pair, so however many cases a worker runs on it, it stays bounded.
 
 Everything here also runs unchanged in the parent process — the
 serial execution path of :class:`~repro.campaign.pool.WorkerPool`

@@ -4,8 +4,8 @@ Per Section 2 of the paper, each step every node (1) takes in the
 packets sent to it, (2) makes a local computation that may depend on
 the packets' destinations and entry arcs, and (3) assigns a distinct
 outgoing arc to every packet.  A :class:`NodeView` is the input to
-step (2): the node, the step number, the packets present, and cached
-good-direction information.
+step (2): the node, the step number, the packets present, and each
+packet's good directions.
 
 Policies receive one view per occupied node and must return a
 direction for every packet in it.
@@ -38,7 +38,6 @@ class NodeView:
         "node",
         "step",
         "packets",
-        "out_directions",
         "good",
         "_types",
     )
@@ -55,11 +54,6 @@ class NodeView:
             if len(packets) > 1
             else tuple(packets)
         )
-        #: Directions in which an arc leaves this node (shared with the
-        #: mesh's per-node arc table; treat as immutable).
-        self.out_directions: Tuple[Direction, ...] = mesh.node_arcs(
-            node
-        ).out_directions
         good_of = mesh.good_directions_tuple
         good: Dict[PacketId, Tuple[Direction, ...]] = {}
         types: Dict[PacketId, RestrictedType] = {}
@@ -72,6 +66,17 @@ class NodeView:
         #: problem, read by the policy and the step loop alike.
         self.good: Mapping[PacketId, Tuple[Direction, ...]] = good
         self._types = types
+
+    @property
+    def out_directions(self) -> Tuple[Direction, ...]:
+        """Directions in which an arc leaves this node, in canonical
+        order (shared with the mesh's per-node arc table; treat as
+        immutable).
+
+        Read from the view's mesh on demand: most node decisions match
+        every packet and never ask for the leftover arcs.
+        """
+        return self.mesh.node_arcs(self.node).out_directions
 
     # ------------------------------------------------------------------
     # Per-packet queries

@@ -26,13 +26,13 @@ fallback loops over the lists directly.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.packet import Packet
 from repro.mesh.tables import ArcTables, direction_index
 from repro.types import PacketId
 
-__all__ = ["PacketColumns", "IDS", "POS"]
+__all__ = ["PacketColumns", "IDS", "POS", "COORDS"]
 
 #: Column indexes, in table order: the packet id, the location and
 #: destination nodes, the entry direction, the restricted and advanced
@@ -191,56 +191,49 @@ class PacketColumns:
         ]
 
     def write_rows(
-        self, table: Sequence[Any], take: Callable[[Any], Sequence[Any]]
+        self, table: Sequence[Sequence[Any]], rows: Iterable[int]
     ) -> List[Packet]:
-        """Write rows of ``table`` (columns in table order) into their
-        Packet objects and return them in row order; an admitted row
-        gets its Packet built here.
+        """Write ``rows`` of ``table`` (list columns in table order)
+        into their Packet objects and return them in ``rows`` order;
+        an admitted row gets its Packet built here.
 
-        ``take`` maps a column to the values of the rows to write.  It
-        is applied only to the columns a Packet stores, so writing a
-        few rows back costs one gather per such column and one pass.
+        One pass reads each written row's fields by index, so writing a
+        few rows back costs what those rows need.  Only an admitted
+        row reads the source column (the table's last) and the
+        destination; a batch run has none, so the numpy step passes
+        the delivered rows of the columns through ``DEFLECTIONS`` as
+        lists.
         """
         index_node = self.tables.index_node
         directions = self.tables.directions
+        packet_of = self.by_id.get
         ids, pos, dest, entry, rl, al, hops, adv, defl = table[:COORDS]
-        ids = take(ids)
-        packets = list(map(self.by_id.get, ids))
-        # Only a run carrying sources admits rows without a Packet.
-        if self.sources:
-            for row, (packet, source, destination) in enumerate(
-                zip(packets, take(table[-1]), take(dest))
-            ):
-                if packet is None:
-                    packets[row] = Packet(
-                        id=ids[row],
-                        source=index_node[source],
-                        destination=index_node[destination],
-                    )
-        for (
-            packet,
-            node,
-            direction,
-            restricted,
-            advanced,
-            hop_count,
-            advance_count,
-            deflection_count,
-        ) in zip(packets, *map(take, (pos, entry, rl, al, hops, adv, defl))):
-            packet.location = index_node[node]
+        packets = []
+        for row in rows:
+            packet = packet_of(ids[row])
+            if packet is None:
+                assert self.sources, "an admitted row needs its source"
+                packet = Packet(
+                    id=ids[row],
+                    source=index_node[table[-1][row]],
+                    destination=index_node[dest[row]],
+                )
+            packet.location = index_node[pos[row]]
+            direction = entry[row]
             packet.entry_direction = (
                 None if direction < 0 else directions[direction]
             )
-            packet.restricted_last_step = restricted
-            packet.advanced_last_step = advanced
-            packet.hops = hop_count
-            packet.advances = advance_count
-            packet.deflections = deflection_count
+            packet.restricted_last_step = rl[row]
+            packet.advanced_last_step = al[row]
+            packet.hops = hops[row]
+            packet.advances = adv[row]
+            packet.deflections = defl[row]
+            packets.append(packet)
         return packets
 
     def unpack(self) -> List[Packet]:
         """Write every row back and return the packets in row order."""
-        return self.write_rows(self.table, list)
+        return self.write_rows(self.table, range(len(self)))
 
     def compact(self, keep: Sequence[bool]) -> None:
         """Drop rows whose ``keep`` flag is False (delivered packets),

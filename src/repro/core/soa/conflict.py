@@ -182,9 +182,9 @@ def resolve_node(
         assignment = kuhn_match(ordered, good, out_mask)
         source = ordered
     if len(assignment) == len(source) and deflection != "random":
-        # Fully matched and no RNG to advance ("random" shuffles the
-        # free list even when nobody needs deflecting, so it cannot
-        # take this shortcut).
+        # Fully matched and no RNG to advance ("random" shuffles a
+        # free list of two or more even when nobody needs deflecting,
+        # so it cannot take this shortcut).
         return assignment
     unmatched = [row for row in source if row not in assignment]
     used = 0
@@ -194,7 +194,9 @@ def resolve_node(
     if deflection == "random":
         if rng is None:
             raise ValueError("random deflection requires the policy RNG")
-        rng.shuffle(free)
+        # A shuffle of fewer than two items draws nothing.
+        if len(free) > 1:
+            rng.shuffle(free)
     elif deflection == "reverse":
         remaining: List[int] = []
         for row in unmatched:

@@ -92,7 +92,7 @@ from repro.core.soa.adapters import (
     CODE_RESTRICTED,
     PolicyAdapter,
 )
-from repro.core.soa.columns import IDS, POS, PacketColumns
+from repro.core.soa.columns import COORDS, IDS, POS, PacketColumns
 from repro.core.soa.conflict import resolve_node
 from repro.exceptions import ArcAssignmentError
 from repro.mesh.tables import ArcTables
@@ -672,7 +672,9 @@ class SoaKernel:
         deflection = adapter.deflection
         shuffle_ties = adapter.tie_break == "random"
         code_kind = adapter.code_kind
-        prefer_type_a = adapter.prefer_type_a
+        a_code = 0 if adapter.prefer_type_a else 1
+        b_code = 1 - a_code
+        rank_of = adapter.rank_of
         clock = profiler.clock if profiler is not None else None
 
         columns = PacketColumns.pack(
@@ -734,6 +736,23 @@ class SoaKernel:
             bad_nodes = 0
             packets_in_bad = 0
             rng = adapter.rng
+            # The priority keys read this step's good masks, so they
+            # are built once per step, outside the node loop.
+            if code_kind == CODE_RESTRICTED:
+
+                def restricted_code(row: int) -> int:
+                    mask = gm[row]
+                    if mask & (mask - 1):
+                        return 2
+                    if rl[row] and al[row]:
+                        return a_code
+                    return b_code
+
+            elif code_kind == CODE_RANK:
+
+                def rank_key(row: int) -> Tuple[float, int]:
+                    return (rank_of(ids[row]), ids[row])
+
             for node_idx in node_list:
                 rows = groups[node_idx]
                 load = len(rows)
@@ -769,35 +788,20 @@ class SoaKernel:
                             advancing += 1
                     continue
                 # Hot-potato: replicate the greedy template, including
-                # tie-break shuffles and priority sorts, at every node
-                # (the object kernel runs it even for lone packets, so
-                # the RNG stream advances there too).
+                # tie-break shuffles and priority sorts, at every node.
+                # The object template keys lone packets too, so a rank
+                # drawn lazily is drawn here as well; a shuffle of one
+                # row draws nothing, and both templates skip it.
                 ordered = list(rows)
-                if shuffle_ties:
+                if shuffle_ties and load > 1:
                     if rng is None:
                         raise ValueError(
                             "policy RNG missing; was prepare() run?"
                         )
                     rng.shuffle(ordered)
                 if code_kind == CODE_RESTRICTED:
-                    a_code = 0 if prefer_type_a else 1
-                    b_code = 1 - a_code
-
-                    def restricted_code(row: int) -> int:
-                        mask = gm[row]
-                        if mask & (mask - 1):
-                            return 2
-                        if rl[row] and al[row]:
-                            return a_code
-                        return b_code
-
                     ordered.sort(key=restricted_code)
                 elif code_kind == CODE_RANK:
-                    rank_of = adapter.rank_of
-
-                    def rank_key(row: int) -> Tuple[float, int]:
-                        return (rank_of(ids[row]), ids[row])
-
                     ordered.sort(key=rank_key)
                 assignment = resolve_node(
                     ordered,
@@ -864,10 +868,7 @@ class SoaKernel:
             if delivered:
                 if source is None:
                     # A batch run's result reads the problem's packets.
-                    for packet in columns.write_rows(
-                        state,
-                        lambda column: [column[row] for row in delivered],
-                    ):
+                    for packet in columns.write_rows(state, delivered):
                         packet.delivered_at = now
                 if on_deliver is not None:
                     assert srcs is not None
@@ -1111,9 +1112,11 @@ class SoaKernel:
                 if source is None:
                     # A batch run's result reads the problem's packets:
                     # one .tolist() slice of the delivered rows per
-                    # column, so no numpy scalar is read per packet.
+                    # column the write reads, so no numpy scalar is
+                    # read per packet.
                     for packet in columns.write_rows(
-                        state, lambda array: array[rows].tolist()
+                        [array[rows].tolist() for array in state[:COORDS]],
+                        range(delivered_count),
                     ):
                         packet.delivered_at = now
                 if on_deliver is not None:

@@ -17,12 +17,13 @@ kernel asks:
   scheduled drop events, lowest ids first).
 
 The mask only changes at schedule boundaries (window starts/ends,
-failure times), so the masked tables are cached per regime and a run
-over a quiet stretch pays one dict lookup per node, like the pristine
-mesh.  Distances are deliberately *not* masked: good directions stay
-defined by the underlying geometry, so "advance" keeps its Definition 5
-meaning and the potential-function accounting stays comparable with
-and without faults.
+failure times), so the masked arc tables are cached per regime (at most
+one per node) and a run over a quiet stretch pays one dict lookup per
+node, like the pristine mesh; good directions are the mesh's, filtered
+by the node's live arcs on each query.  Distances are deliberately
+*not* masked: good directions stay defined by the underlying geometry,
+so "advance" keeps its Definition 5 meaning and the potential-function
+accounting stays comparable with and without faults.
 """
 
 from __future__ import annotations
@@ -43,35 +44,34 @@ __all__ = ["ActiveFaults", "FaultMask", "FaultView"]
 
 
 class FaultMask:
-    """The current regime's masked topology and its caches.
+    """The current regime's masked topology and its arc tables.
 
-    Holds the down node and arc sets plus the masked tables built from
-    them; :class:`ActiveFaults` installs new sets at regime changes.
+    Holds the down node and arc sets plus the masked per-node arc
+    tables built from them (at most one per node);
+    :class:`ActiveFaults` installs new sets at regime changes.
     It holds no reference back to its :class:`ActiveFaults`, so the
     :class:`FaultView` that reads it closes no reference cycle and a
     finished faulted run is freed by reference counting alone.
     """
 
-    __slots__ = ("mesh", "down_nodes", "down_arcs", "arc_cache", "good_cache")
+    __slots__ = ("mesh", "down_nodes", "down_arcs", "arc_cache")
 
     def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
         self.down_nodes: Set[Node] = set()
         self.down_arcs: Set[Tuple[Node, Node]] = set()
         self.arc_cache: Dict[Node, NodeArcs] = {}
-        self.good_cache: Dict[Tuple[Node, Node], Tuple[Direction, ...]] = {}
 
     def update(
         self, down_nodes: Set[Node], down_arcs: Set[Tuple[Node, Node]]
     ) -> bool:
         """Install a regime's down sets and drop the cached tables;
-        returns False, keeping the caches, when the sets are unchanged."""
+        returns False, keeping the tables, when the sets are unchanged."""
         if down_nodes == self.down_nodes and down_arcs == self.down_arcs:
             return False
         self.down_nodes = down_nodes
         self.down_arcs = down_arcs
         self.arc_cache.clear()
-        self.good_cache.clear()
         return True
 
     @property
@@ -125,17 +125,11 @@ class FaultMask:
         self, node: Node, destination: Node
     ) -> Tuple[Direction, ...]:
         """Good directions (Definition 5) restricted to live arcs."""
-        key = (node, destination)
-        cached = self.good_cache.get(key)
-        if cached is None:
-            base = self.mesh.good_directions_tuple(node, destination)
-            if not self.anything_down:
-                cached = base
-            else:
-                live = self.node_arcs(node).by_direction
-                cached = tuple(d for d in base if d in live)
-            self.good_cache[key] = cached
-        return cached
+        base = self.mesh.good_directions_tuple(node, destination)
+        if not self.anything_down:
+            return base
+        live = self.node_arcs(node).by_direction
+        return tuple(d for d in base if d in live)
 
 
 class FaultView:

@@ -88,22 +88,16 @@ class Mesh:
         self._directions: Tuple[Direction, ...] = tuple(
             all_directions(dimension)
         )
-        # (node, destination) -> good directions.  The topology is
-        # immutable and the same queries repeat every step of a
-        # simulation, so an unbounded per-instance memo is safe and a
-        # large win on the engine's hot path.
-        self._good_cache: Dict[
-            Tuple[Node, Node], Tuple[Direction, ...]
-        ] = {}
         # node -> NodeArcs, filled lazily by node_arcs(); shared across
-        # every run on this mesh instance.
+        # every run on this mesh instance and bounded by the node count.
+        # The mesh keeps no per-(node, destination) state: good
+        # directions are a few coordinate comparisons per query.
         self._arc_cache: Dict[Node, NodeArcs] = {}
 
     def __getstate__(self) -> Dict[str, object]:
-        # The memo caches can be large and are pure derived data; drop
-        # them so meshes pickle small (process-pool case specs).
+        # The arc tables are pure derived data; drop them so meshes
+        # pickle small (process-pool case specs).
         state = self.__dict__.copy()
-        state["_good_cache"] = {}
         state["_arc_cache"] = {}
         return state
 
@@ -323,30 +317,17 @@ class Mesh:
     def good_directions_tuple(
         self, node: Node, destination: Node
     ) -> Tuple[Direction, ...]:
-        """Memoized good directions as a shared, immutable tuple.
-
-        This is the zero-copy accessor the engine's hot path and
-        :class:`~repro.core.node_view.NodeView` use; callers must not
-        rely on identity, only on contents.
-        """
-        key = (node, destination)
-        cached = self._good_cache.get(key)
-        if cached is None:
-            cached = self._good_directions_uncached(node, destination)
-            self._good_cache[key] = cached
-        return cached
-
-    def _good_directions_uncached(
-        self, node: Node, destination: Node
-    ) -> Tuple[Direction, ...]:
-        """Compute good directions arithmetically (mesh memo-miss path).
-
-        On the box mesh, moving toward a valid destination coordinate
-        can never leave the box, so the good directions are exactly the
-        axes where the coordinates differ — no neighbor or distance
-        queries needed.  Subclasses with different adjacency (the
-        torus) override this; the result must list directions in the
+        """Good directions (Definition 5) as an immutable tuple, in the
         canonical axis-major, ``+`` before ``-`` order.
+
+        This is the accessor the engine's hot path and
+        :class:`~repro.core.node_view.NodeView` use; it is computed on
+        every query and callers must not rely on identity, only on
+        contents.  On the box mesh, moving toward a valid destination
+        coordinate can never leave the box, so the good directions are
+        exactly the axes where the coordinates differ — no neighbor or
+        distance queries needed.  Subclasses with different adjacency
+        (the torus) override this.
         """
         directions = self._directions
         good = []
@@ -364,8 +345,7 @@ class Mesh:
         ``destination`` (Definition 5).
 
         A direction with no arc out of ``node`` (off the mesh edge) is
-        never good.  Results are memoized (the topology is immutable);
-        callers receive a fresh list each time.
+        never good.  Callers receive a fresh list each time.
         """
         return list(self.good_directions_tuple(node, destination))
 

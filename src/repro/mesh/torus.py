@@ -75,14 +75,15 @@ class Torus(Mesh):
         """Every torus node has full degree ``2d``."""
         return 2 * self.dimension
 
-    def _good_directions_uncached(
+    def good_directions_tuple(
         self, node: Node, destination: Node
     ) -> Tuple[Direction, ...]:
-        """Wraparound-aware good directions (memo-miss path).
+        """Wraparound-aware good directions (Definition 5).
 
-        Per axis the packet may travel straight or around the wrap; the
-        shorter way is good, and at the exact midpoint (even ``n``,
-        offset ``n/2``) *both* directions reduce the wrapped distance.
+        Per axis the packet may travel straight or around the wrap.
+        With ``off = (b - a) mod n`` the ``+`` way costs ``off`` hops
+        and the ``-`` way ``n - off``; the shorter way is good, and at
+        the exact midpoint (even ``n``, ``off = n/2``) *both* are.
         """
         directions = self.directions
         n = self.side
@@ -90,12 +91,10 @@ class Torus(Mesh):
         axis2 = 0
         for a, b in zip(node, destination):
             if a != b:
-                straight = abs(a - b)
-                wrap = n - straight
-                toward_plus = b > a
-                if (straight <= wrap) if toward_plus else (wrap <= straight):
+                twice = 2 * ((b - a) % n)
+                if twice <= n:
                     good.append(directions[axis2])
-                if (wrap <= straight) if toward_plus else (straight <= wrap):
+                if twice >= n:
                     good.append(directions[axis2 + 1])
             axis2 += 2
         return tuple(good)

@@ -131,3 +131,29 @@ class TestDeflectRules:
             policy = GreedyMatchingPolicy(tie_break=tie)
             result = route(problem, policy, seed=61)
             assert result.completed
+
+
+class TestZeroDrawShuffles:
+    """A shuffle of fewer than two items draws nothing, so the template
+    (and the array kernel's replay of it) skips it.
+
+    The first test pins the CPython behaviour the skip rests on:
+    ``random.shuffle`` loops over ``range(len(x) - 1, 0, -1)``, which is
+    empty for 0 or 1 items.  If a Python release ever drew there, every
+    RNG-consuming golden would move and this test says why.
+    """
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_cpython_shuffle_of_fewer_than_two_draws_nothing(self, size):
+        rng = random.Random(7)
+        state = rng.getstate()
+        items = list(range(size))
+        rng.shuffle(items)
+        assert items == list(range(size))
+        assert rng.getstate() == state
+
+    def test_cpython_shuffle_of_two_draws(self):
+        rng = random.Random(7)
+        state = rng.getstate()
+        rng.shuffle([0, 1])
+        assert rng.getstate() != state

@@ -17,7 +17,7 @@ from repro.core.buffered_engine import BufferedEngine
 from repro.core.engine import HotPotatoEngine
 from repro.core.packet import Packet
 from repro.core.soa import SoaKernel, _compat, adapter_for
-from repro.core.soa.columns import PacketColumns
+from repro.core.soa.columns import COORDS, PacketColumns
 from repro.core.validation import validators_for
 from repro.dynamic import BernoulliTraffic, DynamicEngine
 from repro.faults import FaultSchedule, PacketDrop, RunWatchdog
@@ -302,14 +302,11 @@ class TestPackUnpackRoundTrip:
             packet.entry_direction = None
         picked = [0, 2, len(columns) - 2, len(columns) - 1]
         one_by_one = [
-            columns.write_rows(columns.table, lambda column: [column[row]])[0]
-            for row in picked
+            columns.write_rows(columns.table, [row])[0] for row in picked
         ]
         for packet in packets:
             packet.hops += 50
-        block = columns.write_rows(
-            columns.table, lambda column: [column[row] for row in picked]
-        )
+        block = columns.write_rows(columns.table, picked)
         assert block == one_by_one == [expected[row] for row in picked]
         assert [_snapshot(p) for p in block] == [
             snapshots[row] for row in picked
@@ -320,6 +317,34 @@ class TestPackUnpackRoundTrip:
         assert block[2] is not one_by_one[2]
         assert block[2].source == (2, 2) and block[3].id == 101
         assert columns.by_id == dict(zip(columns.table[0][:-2], packets))
+
+    def test_write_rows_from_numpy_leading_columns(self):
+        # The numpy step writes a batch run's delivered rows from list
+        # slices of the columns through DEFLECTIONS alone: every row
+        # has a Packet, so the destination and source are never read.
+        np = pytest.importorskip("numpy")
+        packets = self._mid_run_packets()
+        columns = PacketColumns.pack(
+            packets, arc_tables_for(Mesh(2, 5)), sources=True
+        )
+        expected = [_snapshot(p) for p in columns.unpack()]
+        for packet in packets:
+            packet.hops += 50
+            packet.entry_direction = None
+        picked = np.array([1, 3, len(columns) - 1])
+        block = columns.write_rows(
+            [
+                array[picked].tolist()
+                for array in columns.arrays(np)[:COORDS]
+            ],
+            range(len(picked)),
+        )
+        assert block == [packets[row] for row in picked]
+        assert [_snapshot(p) for p in block] == [
+            expected[row] for row in picked
+        ]
+        assert {type(p.hops) for p in block} == {int}
+        assert {type(p.advanced_last_step) for p in block} == {bool}
 
 
 class TestPathSelection:
