@@ -4,17 +4,21 @@
 declarative specs into a :class:`~repro.campaign.store.CampaignStore`,
 dispatches the open ones through a persistent
 :class:`~repro.campaign.pool.WorkerPool` (worker-side resolution via
-:func:`repro.campaign.worker.execute_chunk`), and appends a durable
-``case-finished`` / ``case-failed`` event as each result lands.  That
-last part is where a 1-CPU machine still wins from ``workers=2``: the
-parent fsyncs events while workers compute, overlapping the log's I/O
-stalls with simulation instead of serializing them.
+:func:`repro.campaign.worker.execute_chunk`), and appends durable
+``case-finished`` / ``case-failed`` events as results land: one
+fsynced append per landed pool chunk (one per case on the serial
+path).  That last part is where a 1-CPU machine still wins from
+``workers=2``: the parent fsyncs a chunk's events while workers
+compute the next chunks, overlapping the log's I/O stalls with
+simulation instead of serializing them.
 
 Crash safety is resume-by-replay: a killed campaign re-created over
 the same store (or rebuilt from the store alone via
 :meth:`Campaign.from_store`) restores every acknowledged point from
 the event log and executes only the remainder — completed cases are
-never re-run, queued events are never re-appended.
+never re-run, queued events are never re-appended.  A case is
+acknowledged when the append carrying its event returns, so a kill
+between a chunk landing and its append re-runs that chunk.
 
 Execution order is the store's priority queue (``priority`` desc,
 submission order within a priority) but :attr:`CampaignResult.points`
@@ -110,13 +114,14 @@ class Campaign:
             )
         self.store = store
         #: Campaign-level aggregate metrics.  As each worker result
-        #: lands in ``on_result`` its metric snapshot (the telemetry
-        #: riding on the point) is folded in — counters add, peaks
-        #: take the max — alongside lifecycle counters, so the
-        #: registry is live *during* :meth:`run`, not just after.
-        #: The fold is order-independent, so pooled completion order
-        #: cannot change the aggregate.  Accumulates across repeated
-        #: :meth:`run` calls on the same campaign object.
+        #: lands in ``on_result`` (a chunk at a time) its metric
+        #: snapshot (the telemetry riding on the point) is folded in —
+        #: counters add, peaks take the max — alongside lifecycle
+        #: counters, so the registry is live *during* :meth:`run`, not
+        #: just after.  The fold is order-independent, so pooled
+        #: completion order cannot change the aggregate.  Accumulates
+        #: across repeated :meth:`run` calls on the same campaign
+        #: object.
         self.metrics = MetricRegistry()
         self._owns_pool = pool is None
         if pool is None:
@@ -315,26 +320,26 @@ class Campaign:
                 self.store.start(pending)
 
             def on_result(
-                index: int, result: Union[ExperimentPoint, CaseFailure]
+                landed: List[Tuple[int, Union[ExperimentPoint, CaseFailure]]]
             ) -> None:
-                key = pending[index]
-                if isinstance(result, CaseFailure):
-                    result = self._enrich_failure(key, index, result,
-                                                  prior_failures)
-                outcome[key] = result
-                if isinstance(result, CaseFailure):
-                    self.metrics.counter(
-                        "repro_campaign_cases_failed_total",
-                        "Campaign cases failed",
-                    ).inc()
-                else:
-                    self._fold_point(result, "finished")
-                if self.store is None:
-                    return
-                if isinstance(result, CaseFailure):
-                    self.store.fail(key, result)
-                else:
-                    self.store.finish(key, result)
+                # Outcomes and metrics per item; the chunk's terminal
+                # events in one fsynced append.
+                settled = []
+                for index, result in landed:
+                    key = pending[index]
+                    if isinstance(result, CaseFailure):
+                        result = self._enrich_failure(key, index, result,
+                                                      prior_failures)
+                        self.metrics.counter(
+                            "repro_campaign_cases_failed_total",
+                            "Campaign cases failed",
+                        ).inc()
+                    else:
+                        self._fold_point(result, "finished")
+                    outcome[key] = result
+                    settled.append((key, result))
+                if self.store is not None:
+                    self.store.settle(settled)
 
             self.pool.run_batch(
                 [by_key[key] for key in pending],

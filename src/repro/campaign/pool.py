@@ -20,6 +20,11 @@ Crash recovery is generic over the payload type:
   so every item is executed and reported exactly once;
 * any detour sets :attr:`degraded`.
 
+Results reach the parent a landed chunk at a time: ``on_result``
+receives each chunk's ``(index, result)`` pairs in one call, so a
+caller that journals results (the campaign store) pays one durable
+append per chunk, not one per item.
+
 Exceptions raised *by the chunk function itself* are deterministic
 and re-raised immediately (the campaign chunk function converts
 per-case failures to data before they get here).  Items and the chunk
@@ -52,6 +57,10 @@ from repro.obs.clock import sleep_for
 __all__ = ["BACKOFF_CAP", "WorkerPool"]
 
 ChunkFn = Callable[[Sequence[Any]], List[Any]]
+
+#: One landed chunk: ``(index, result)`` pairs in chunk order, indices
+#: into the batch's items.
+Landed = List[Tuple[int, Any]]
 
 #: Ceiling on the exponential retry backoff, in seconds.  Uncapped
 #: doubling reaches minutes within a dozen attempts, which turns a
@@ -189,7 +198,7 @@ class WorkerPool:
         items: Sequence[Any],
         fn: ChunkFn,
         *,
-        on_result: Optional[Callable[[int, Any], None]] = None,
+        on_result: Optional[Callable[[Landed], None]] = None,
     ) -> List[Any]:
         """Execute ``fn`` over all items, returning results in order.
 
@@ -198,9 +207,12 @@ class WorkerPool:
         inside workers when the pool is live and in this process on
         the serial path — same function, same results, either way.
 
-        ``on_result(index, result)`` fires once per item as its result
-        lands (event-log hooks); indices refer to ``items`` order, and
-        the callback runs in this process regardless of fan-out.
+        ``on_result(landed)`` fires once per landed chunk (event-log
+        hooks) with that chunk's ``(index, result)`` pairs in chunk
+        order; indices refer to ``items`` order, and the callback runs
+        in this process regardless of fan-out.  The serial path and
+        the serial fallback land one item at a time.  Across the
+        batch every item is reported exactly once, retries included.
         """
         self.degraded = False
         self.chunked = 0
@@ -208,15 +220,16 @@ class WorkerPool:
         self.attempts = {index: 0 for index in range(len(items))}
         results: Dict[int, Any] = {}
 
-        def record(index: int, result: Any) -> None:
-            results[index] = result
+        def record(landed: Landed) -> None:
+            for index, result in landed:
+                results[index] = result
             if on_result is not None:
-                on_result(index, result)
+                on_result(landed)
 
         if self.workers == 1 or len(items) < 2:
             for index, item in enumerate(items):
                 self.attempts[index] = 1
-                record(index, fn([item])[0])
+                record([(index, fn([item])[0])])
             return [results[i] for i in range(len(items))]
 
         pending = list(range(len(items)))
@@ -237,7 +250,7 @@ class WorkerPool:
             self.degraded = True
             for index in pending:
                 self.attempts[index] += 1
-                record(index, fn([items[index]])[0])
+                record([(index, fn([items[index]])[0])])
         return [results[i] for i in range(len(items))]
 
     def _chunks(self, pending: Sequence[int]) -> List[List[int]]:
@@ -254,9 +267,10 @@ class WorkerPool:
         items: List[Any],
         pending: Sequence[int],
         fn: ChunkFn,
-        record: Callable[[int, Any], None],
+        record: Callable[[Landed], None],
     ) -> None:
-        """One pool attempt over ``pending``; records what completes.
+        """One pool attempt over ``pending``; records each chunk that
+        completes, whole, in one ``record`` call.
 
         Infrastructure casualties are swallowed: a worker crash (even
         one that breaks the pool while chunks are still being
@@ -313,8 +327,7 @@ class WorkerPool:
                         # of the pool grind on before re-raising.
                         healthy = False
                         raise
-                    for index, result in zip(chunk, chunk_results):
-                        record(index, result)
+                    record(list(zip(chunk, chunk_results)))
         finally:
             if not healthy:
                 self.degraded = True

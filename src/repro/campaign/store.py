@@ -21,7 +21,12 @@ names its case by the content-derived
 :func:`~repro.campaign.spec.spec_key`.  Appends go through
 :func:`repro.obs.manifest.append_jsonl` with ``fsync=True``: once an append
 returns, a crash can lose at most a torn trailing line, never an
-acknowledged event.  :meth:`CampaignStore.replay` folds the log into
+acknowledged event.  An event is acknowledged when the append that
+carries it returns.  :meth:`CampaignStore.settle` writes the terminal
+events of one landed pool chunk in a single append, so a pooled
+campaign pays one fsync per chunk; a crash before that append returns
+leaves the chunk unacknowledged, and resume re-runs whatever of it the
+log does not hold.  :meth:`CampaignStore.replay` folds the log into
 current state with the same torn-line tolerance as
 :func:`~repro.obs.manifest.read_manifests`: damaged or foreign lines
 are skipped and described in ``errors``, and the case a torn
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.campaign.results import (
     CaseFailure,
@@ -168,21 +173,37 @@ class CampaignStore:
             fsync=True,
         )
 
-    def finish(self, key: str, point: ExperimentPoint) -> None:
-        """Durably append one ``case-finished`` (fsynced on return)."""
+    def settle(
+        self,
+        outcomes: Sequence[Tuple[str, Union[ExperimentPoint, CaseFailure]]],
+    ) -> None:
+        """Durably append the terminal event of each (key, outcome) —
+        ``case-failed`` for a :class:`CaseFailure`, ``case-finished``
+        otherwise — in order, in one write and one fsync.
+
+        The campaign hands it one landed pool chunk at a time.  No
+        event of the batch is acknowledged before the call returns.
+        """
         append_jsonl(
-            [self._event("case-finished", key, point=point_to_dict(point))],
+            [
+                self._event("case-failed", key, failure=outcome.to_dict())
+                if isinstance(outcome, CaseFailure)
+                else self._event(
+                    "case-finished", key, point=point_to_dict(outcome)
+                )
+                for key, outcome in outcomes
+            ],
             self.path,
             fsync=True,
         )
 
+    def finish(self, key: str, point: ExperimentPoint) -> None:
+        """Durably append one ``case-finished`` (fsynced on return)."""
+        self.settle([(key, point)])
+
     def fail(self, key: str, failure: CaseFailure) -> None:
         """Durably append one ``case-failed`` (fsynced on return)."""
-        append_jsonl(
-            [self._event("case-failed", key, failure=failure.to_dict())],
-            self.path,
-            fsync=True,
-        )
+        self.settle([(key, failure)])
 
     def checkpoint(self, key: str, snapshot: Mapping[str, Any]) -> None:
         """Durably append one ``case-checkpointed`` (fsynced on

@@ -13,9 +13,10 @@ These drivers manufacture the crashes:
   escaped the snapshot.
 * :func:`crashtest_store` — feed a campaign store every infrastructure
   insult the injector knows (fsync ``EIO``, ``ENOSPC`` short write,
-  mid-write kill, byte-level torn tails across a multi-byte UTF-8
-  character) and require replay to stay readable and a resumed
-  campaign to finish with reference-identical points.
+  mid-write kill, a kill inside a pooled campaign's chunk append,
+  byte-level torn tails across a multi-byte UTF-8 character) and
+  require replay to stay readable and a resumed campaign to finish
+  with reference-identical points.
 * :func:`crashtest_campaign` — the real thing: a 2-worker ``repro
   campaign run --checkpoint-every`` subprocess, SIGKILLed the moment
   its store shows a live mid-run checkpoint, then resumed over the
@@ -33,6 +34,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -221,11 +223,76 @@ def _assert_matches_reference(
         )
 
 
+def _crashtest_chunk_append(folder: str, workers: int) -> str:
+    """Kill a pooled campaign's parent inside its second chunk append.
+
+    The specs checkpoint nothing, so the workers write nothing and the
+    parent's appends are the queue, the start, then one per landed
+    chunk: write 4 is the second chunk's, torn after 300 bytes (inside
+    its first event).  Replay must show that one torn line and exactly
+    the first landed chunk finished, all of it; the resume must match
+    the serial reference with one ``case-finished`` per key.
+    """
+    from repro.campaign.orchestrator import Campaign
+    from repro.campaign.pool import WorkerPool
+    from repro.campaign.spec import spec_key
+    from repro.campaign.store import CampaignStore
+
+    specs = _campaign_specs(20)
+    keys = [spec_key(spec) for spec in specs]
+    reference = _reference_points(specs)
+    path = os.path.join(folder, "pooled-chunk.jsonl")
+    pool = WorkerPool(workers)
+    try:
+        # Started outside the chaos scope: the workers fork with the
+        # real syscall seams.
+        pool.start()
+        with durability_chaos(
+            ChaosPlan(kill_at_write=4, short_bytes=300)
+        ) as log:
+            try:
+                Campaign(specs, store=CampaignStore(path), pool=pool).run()
+            except ProcessKilled:
+                pass
+    finally:
+        pool.close()
+    assert log.injected, "pooled-chunk: chaos never fired"
+    state = CampaignStore(path).replay()
+    assert len(state.errors) == 1, f"pooled-chunk: {state.errors}"
+    chunks = [
+        {keys[index] for index in chunk}
+        for chunk in pool._chunks(range(len(keys)))
+    ]
+    assert len(chunks) > 2, "pooled-chunk: the batch was not chunked"
+    assert set(state.points) in chunks, (
+        f"pooled-chunk: {len(state.points)} finished cases are not one "
+        "landed chunk"
+    )
+    _assert_matches_reference(path, reference, "store/pooled-chunk")
+    finished: Counter[str] = Counter()
+    with open(path, "rb") as handle:
+        for raw in handle:
+            try:
+                event = json.loads(raw)
+            except ValueError:
+                continue  # the torn line
+            if event["event"] == "case-finished":
+                finished[event["key"]] += 1
+    assert finished == Counter(keys), (
+        "pooled-chunk: a case finished twice or never"
+    )
+    return (
+        f"pooled-chunk at write {log.writes}: "
+        f"{len(state.points)}/{len(keys)} acknowledged"
+    )
+
+
 def crashtest_store(workers: int = 2) -> CrashtestReport:
     """Chaos-inject the campaign store's durability layer and resume.
 
     Serial campaigns face the syscall-seam injector (fsync ``EIO``,
     ``ENOSPC`` short write, simulated mid-write SIGKILL); a
+    ``workers``-wide campaign is killed inside a chunk append; a
     ``workers``-wide campaign's finished log is then torn at byte
     granularity — including mid-way through a multi-byte UTF-8
     character — before resuming over the damage.
@@ -259,6 +326,9 @@ def crashtest_store(workers: int = 2) -> CrashtestReport:
             _assert_matches_reference(path, reference, f"store/{name}")
             report.boundaries += 1
             report.details.append(f"{name} at write {log.writes}")
+
+        report.details.append(_crashtest_chunk_append(tmp, workers))
+        report.boundaries += 1
 
         # Byte-level tears over a pooled (concurrent-append) log.  The
         # sentinel params value ends in U+2713 (3 UTF-8 bytes), so the

@@ -121,6 +121,14 @@ class Mesh:
         return self._side**self._dimension
 
     @property
+    def num_arcs(self) -> int:
+        """Total number of directed arcs, ``2d (n - 1) n**(d - 1)``:
+        along each of the ``d`` axes, ``n**(d - 1)`` lines of ``n - 1``
+        links, each link two arcs.  Equals the sum of node degrees."""
+        d, n = self._dimension, self._side
+        return 2 * d * (n - 1) * n ** (d - 1)
+
+    @property
     def diameter(self) -> int:
         """Graph diameter, ``d * (n - 1)`` for the mesh."""
         return self._dimension * (self._side - 1)

@@ -49,6 +49,12 @@ class Torus(Mesh):
         return tuple(moved)
 
     @property
+    def num_arcs(self) -> int:
+        """Total number of directed arcs, ``2d n**d`` (every node has
+        degree ``2d``)."""
+        return 2 * self.dimension * self.num_nodes
+
+    @property
     def unit_deflections(self) -> bool:
         """Even-side tori keep the ±1-per-hop distance invariant; with
         odd ``n`` a bad hop out of a maximal per-axis offset

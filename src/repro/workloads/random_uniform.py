@@ -19,8 +19,8 @@ from repro.types import Node
 
 def max_packets(mesh: Mesh) -> int:
     """Largest batch the mesh can host at time 0
-    (sum of node out-degrees)."""
-    return sum(mesh.degree(node) for node in mesh.nodes())
+    (sum of node out-degrees, i.e. the arc count)."""
+    return mesh.num_arcs
 
 
 def random_many_to_many(

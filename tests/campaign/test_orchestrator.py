@@ -13,6 +13,7 @@ from repro.campaign import (
     spec_key,
 )
 from repro.campaign.worker import _run_engine, mesh_for, resolve_workload
+from repro.chaos.injector import ChaosPlan, durability_chaos
 from repro.faults import FaultSchedule, PacketDrop
 
 
@@ -265,6 +266,34 @@ class TestDifferentialIdentity:
         assert pooled.points == serial.points
         assert pooled.chunked > 0
         assert not pooled.degraded
+
+    def test_pooled_run_fsyncs_once_per_landed_chunk(self, tmp_path):
+        # Group commit: the queue, the start, then one append per
+        # landed chunk carrying every terminal event of that chunk.
+        # The specs checkpoint nothing, so the parent is the only
+        # writer; the pool starts outside the counting scope.
+        from repro.campaign import WorkerPool
+
+        specs = _specs(range(12))
+        with Campaign(specs) as campaign:
+            serial = campaign.run()
+        store = CampaignStore(str(tmp_path / "log.jsonl"))
+        with WorkerPool(workers=2) as pool:
+            with durability_chaos(ChaosPlan()) as log:
+                pooled = Campaign(specs, store=store, pool=pool).run()
+        assert 1 < pooled.chunked < len(specs)
+        assert log.fsyncs == log.writes == 2 + pooled.chunked
+        assert pooled.points == serial.points
+        finished = [
+            event["key"]
+            for event in _events(store.path)
+            if event["event"] == "case-finished"
+        ]
+        assert sorted(finished) == sorted(spec_key(s) for s in specs)
+        assert store.restored_points() == {
+            spec_key(spec): point
+            for spec, point in zip(specs, serial.points)
+        }
 
     def test_shared_pool_serves_many_campaigns(self):
         from repro.campaign import WorkerPool

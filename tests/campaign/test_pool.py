@@ -118,14 +118,12 @@ class TestSerialPath:
         assert pool.run_batch([], _double_chunk) == []
 
     def test_on_result_fires_per_item_with_items_index(self):
+        # The serial path lands one item at a time: one call per item,
+        # each reporting that item alone with its items index.
         pool = WorkerPool(workers=1)
-        seen = []
-        pool.run_batch(
-            [10, 20, 30],
-            _double_chunk,
-            on_result=lambda index, result: seen.append((index, result)),
-        )
-        assert sorted(seen) == [(0, 20), (1, 40), (2, 60)]
+        calls = []
+        pool.run_batch([10, 20, 30], _double_chunk, on_result=calls.append)
+        assert calls == [[(0, 20)], [(1, 40)], [(2, 60)]]
 
     def test_deterministic_chunk_exception_propagates(self):
         pool = WorkerPool(workers=1)
@@ -195,6 +193,25 @@ class TestPersistence:
         assert pooled == serial
         assert pool.chunked > 0
 
+    def test_on_result_fires_once_per_landed_chunk(self):
+        # A pooled batch reports each landed chunk whole, in one call:
+        # as many calls as chunks, each one chunk's (index, result)
+        # pairs in chunk order, every item exactly once.
+        calls = []
+        with WorkerPool(workers=2) as pool:
+            results = pool.run_batch(
+                list(range(20)), _double_chunk, on_result=calls.append
+            )
+        assert results == [2 * i for i in range(20)]
+        chunks = pool._chunks(list(range(20)))
+        assert len(calls) == pool.chunked == len(chunks)
+        assert sorted(
+            [index for index, _ in landed] for landed in calls
+        ) == chunks
+        assert all(
+            result == 2 * index for landed in calls for index, result in landed
+        )
+
     def test_chunks_partition_contiguously(self):
         pool = WorkerPool(workers=2)
         chunks = pool._chunks(list(range(10)))
@@ -245,7 +262,7 @@ class TestCrashRecovery:
             points = pool.run_batch(
                 _specs([0, 1, 2, 3]),
                 partial(_crash_once_chunk, sentinel),
-                on_result=lambda index, point: landed.append(index),
+                on_result=lambda pairs: landed.extend(i for i, _ in pairs),
             )
         assert [p.params["seed"] for p in points] == [0, 1, 2, 3]
         assert all(p.result.completed for p in points)

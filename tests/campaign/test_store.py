@@ -9,6 +9,7 @@ from repro.campaign.store import (
     CampaignStore,
 )
 from repro.campaign.worker import execute_case
+from repro.chaos.injector import ChaosPlan, durability_chaos
 
 
 def _spec(seed, **overrides):
@@ -86,6 +87,56 @@ class TestAppendReplay:
         state = store.replay()
         assert state.order == []
         assert state.errors == []
+
+
+class TestSettle:
+    """One landed chunk's terminal events: one append, one fsync."""
+
+    def test_settle_appends_every_outcome_with_one_fsync(self, tmp_path):
+        store = CampaignStore(str(tmp_path / "log.jsonl"))
+        specs = [_spec(0), _spec(1), _spec(2)]
+        keys = [spec_key(s) for s in specs]
+        store.queue(_entries(specs))
+        points = [execute_case(specs[0]), execute_case(specs[2])]
+        failure = CaseFailure(keys[1], "ValueError", "boom")
+        with durability_chaos(ChaosPlan()) as log:
+            store.settle(
+                [(keys[0], points[0]), (keys[1], failure),
+                 (keys[2], points[1])]
+            )
+        assert log.fsyncs == 1
+        events = _lines(store.path)[3:]
+        assert [(e["event"], e["key"]) for e in events] == [
+            ("case-finished", keys[0]),
+            ("case-failed", keys[1]),
+            ("case-finished", keys[2]),
+        ]
+        state = store.replay()
+        assert state.points == {keys[0]: points[0], keys[2]: points[1]}
+        assert state.failures == {keys[1]: failure}
+
+    def test_settle_writes_what_finish_and_fail_write(self, tmp_path):
+        # Grouping changes the fsync count, not the events: the same
+        # fields in the same order, byte for byte but the timestamp.
+        specs = [_spec(0), _spec(1)]
+        keys = [spec_key(s) for s in specs]
+        point = execute_case(specs[0])
+        failure = CaseFailure(keys[1], "ValueError", "boom")
+        one = CampaignStore(str(tmp_path / "one.jsonl"))
+        one.finish(keys[0], point)
+        one.fail(keys[1], failure)
+        grouped = CampaignStore(str(tmp_path / "grouped.jsonl"))
+        grouped.settle([(keys[0], point), (keys[1], failure)])
+
+        def without_stamps(path):
+            with open(path, "rb") as handle:
+                raw = handle.read()
+            events = [json.loads(line) for line in raw.splitlines()]
+            for event in events:
+                del event["created_at"]
+            return len(raw), [list(event.items()) for event in events]
+
+        assert without_stamps(grouped.path) == without_stamps(one.path)
 
 
 class TestFoldSemantics:

@@ -179,8 +179,12 @@ class TestFullDrivers:
 
     def test_store_chaos(self):
         report = crashtest_store(workers=2)
-        # Three injector plans plus three byte-level tears.
-        assert report.boundaries == 6
+        # Three injector plans, the pooled chunk-append kill, plus
+        # three byte-level tears.
+        assert report.boundaries == 7
+        assert any(
+            detail.startswith("pooled-chunk") for detail in report.details
+        )
 
     def test_campaign_sigkill(self, monkeypatch):
         spawned = []

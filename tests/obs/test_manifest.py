@@ -1,6 +1,7 @@
 """Tests for run manifests and the JSONL run logger."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -53,11 +54,42 @@ class _TickProfiler(PhaseProfiler):
         self.reads = []
 
 
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=str(repo),
+        check=True,
+        capture_output=True,
+    )
+
+
+@pytest.fixture
+def committed_repo(tmp_path):
+    """A throwaway repository with one commit, independent of whether
+    the tree under test is itself a checkout."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "tracked.txt").write_text("one\n", encoding="utf-8")
+    _git(repo, "add", "tracked.txt")
+    _git(repo, "commit", "-q", "-m", "initial")
+    return repo
+
+
 class TestGitSha:
-    def test_returns_short_sha_for_this_repo(self):
-        sha = git_sha()
+    def test_returns_short_sha_for_a_committed_repo(self, committed_repo):
+        sha = git_sha(cwd=str(committed_repo))
         assert sha != "unknown"
-        assert len(sha.replace("-dirty", "")) >= 7
+        assert not sha.endswith("-dirty")
+        assert len(sha) >= 7
+        int(sha, 16)
+
+    def test_modified_tree_gets_the_dirty_suffix(self, committed_repo):
+        (committed_repo / "tracked.txt").write_text("two\n", encoding="utf-8")
+        sha = git_sha(cwd=str(committed_repo))
+        assert sha.endswith("-dirty")
+        assert len(sha[: -len("-dirty")]) >= 7
 
     def test_unknown_outside_any_repo(self, tmp_path):
         assert git_sha(cwd=str(tmp_path)) == "unknown"

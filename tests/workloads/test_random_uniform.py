@@ -5,7 +5,9 @@ from collections import Counter
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.mesh.hypercube import Hypercube
 from repro.mesh.topology import Mesh
+from repro.mesh.torus import Torus
 from repro.workloads.random_uniform import (
     max_packets,
     random_many_to_many,
@@ -20,6 +22,27 @@ class TestMaxPackets:
 
     def test_matches_arc_count(self, mesh8):
         assert max_packets(mesh8) == sum(1 for _ in mesh8.arcs())
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            Mesh(1, 5),
+            Mesh(2, 3),
+            Mesh(3, 4),
+            Torus(1, 5),
+            Torus(2, 6),
+            Torus(3, 3),
+            Hypercube(4),
+        ],
+        ids=lambda mesh: f"{mesh.kind}-d{mesh.dimension}-n{mesh.side}",
+    )
+    def test_closed_form_arc_count(self, mesh):
+        # num_arcs is arithmetic; the arc walk and the degree sum are
+        # the definitions it must agree with on every family.
+        arcs = sum(1 for _ in mesh.arcs())
+        assert mesh.num_arcs == arcs
+        assert sum(mesh.degree(node) for node in mesh.nodes()) == arcs
+        assert max_packets(mesh) == arcs
 
 
 class TestRandomManyToMany:
