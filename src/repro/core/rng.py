@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 RngLike = Union[int, random.Random, None]
 
@@ -44,6 +44,25 @@ def make_rng(seed: RngLike = None) -> random.Random:
     if seed is None:
         return random.Random(0)
     return random.Random(seed)
+
+
+def index_draw(rng: random.Random) -> Callable[[int], int]:
+    """``rng.choice`` as an index draw: ``draw(n)`` makes exactly the
+    calls ``rng.choice(seq)`` makes for a sequence of ``n`` items and
+    returns the index of the item it would pick.
+
+    ``random.Random.choice`` returns ``seq[self._randbelow(len(seq))]``,
+    so the draw is that bound method, which ``random.Random`` picks per
+    subclass (from ``getrandbits``, or from ``random`` alone).  A class
+    that overrides ``choice`` itself draws through ``choice`` over a
+    ``range``.  Drawing indices spares a caller that numbers its items
+    the lookup of each drawn item's number.
+    """
+    if type(rng).choice is random.Random.choice:
+        draw: Callable[[int], int] = getattr(rng, "_randbelow")
+        return draw
+    choice = rng.choice
+    return lambda n: choice(range(n))
 
 
 def spawn(rng: random.Random, key: str) -> random.Random:

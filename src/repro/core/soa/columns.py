@@ -13,14 +13,16 @@ step kernels operate on integers only.
 Every whole-table operation walks the table once: :meth:`pack`
 snapshots live ``Packet`` objects (without mutating them),
 :meth:`fresh_rows` builds the block of rows an injection source
-admits (:meth:`fresh_arrays` the same block as numpy arrays),
-:meth:`compact` drops delivered rows in place and
+admits (:meth:`write_block` writes the same block into the tail of
+the numpy table), :meth:`compact` drops delivered rows in place and
 :meth:`write_rows` writes rows back into their ``Packet`` objects.  A
-run fed by an injection source also carries each row's source node:
-its admitted rows have no ``Packet`` behind them until
-:meth:`write_rows` builds one at the end of a run segment.  The numpy
-path holds the same table as arrays (:meth:`arrays`); the pure-Python
-fallback loops over the lists directly.
+run fed by an injection source also carries each row's source node
+and shortest distance: its admitted rows have no ``Packet`` behind
+them until :meth:`write_rows` builds one at the end of a run segment,
+and the step that admits a row measures its distance (the row stands
+at its source then).  The numpy path holds the same table as arrays
+(:meth:`arrays`) with room for more rows behind a live prefix; the
+pure-Python fallback loops over the lists directly.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ __all__ = ["PacketColumns", "IDS", "POS", "COORDS"]
 #: flags Definition 18's priority reads, and the hop, advance and
 #: deflection counters.  One (1-based) destination coordinate per axis
 #: follows from ``COORDS``, the gather key into the per-axis packed
-#: goodness/distance tables; the source node, when carried, is last.
+#: goodness/distance tables; the source node and the shortest
+#: source-to-destination distance, when carried, are last.
 IDS, POS, DEST, ENTRY, RESTRICTED, ADVANCED = range(6)
 HOPS, ADVANCES, DEFLECTIONS, COORDS = range(6, 10)
 
@@ -60,11 +63,12 @@ class PacketColumns:
 
     def __init__(self, tables: ArcTables, sources: bool = False) -> None:
         self.tables = tables
-        #: Whether the table carries the source column, which runs that
-        #: admit rows or report deliveries need.
+        #: Whether the table carries the source and shortest-distance
+        #: columns, which runs that admit rows or report deliveries
+        #: need.
         self.sources = sources
         self.table: List[List[Any]] = [
-            [] for _ in range(COORDS + tables.dimension + sources)
+            [] for _ in range(COORDS + tables.dimension + 2 * sources)
         ]
         #: The live Packet object behind each packed id, for batch
         #: delivery and final unpacking; admitted rows have none.
@@ -81,7 +85,8 @@ class PacketColumns:
         sources: bool = False,
     ) -> "PacketColumns":
         """Snapshot live packets into columns (packets unmodified),
-        with the source column when ``sources`` is set.
+        with the source and shortest-distance columns when ``sources``
+        is set.
 
         Builds each column with one comprehension.
         """
@@ -89,6 +94,10 @@ class PacketColumns:
         node_index = tables.node_index
         destinations = [packet.destination for packet in rows]
         columns = cls(tables, sources)
+        dest_coords = [
+            [node[axis] for node in destinations]
+            for axis in range(tables.dimension)
+        ]
         columns.table = [
             [packet.id for packet in rows],
             [node_index[packet.location] for packet in rows],
@@ -104,15 +113,22 @@ class PacketColumns:
             [packet.hops for packet in rows],
             [packet.advances for packet in rows],
             [packet.deflections for packet in rows],
-            *(
-                [node[axis] for node in destinations]
-                for axis in range(tables.dimension)
-            ),
+            *dest_coords,
         ]
         if sources:
-            columns.table.append(
-                [node_index[packet.source] for packet in rows]
-            )
+            origins = [node_index[packet.source] for packet in rows]
+            # The packed tables' sums at (source, destination).
+            side1 = tables.side + 1
+            sums = [0] * len(rows)
+            for packed, coords, goals in zip(
+                tables.packed, tables.coords, dest_coords
+            ):
+                sums = [
+                    total + packed[coords[node] * side1 + goal]
+                    for total, node, goal in zip(sums, origins, goals)
+                ]
+            columns.table.append(origins)
+            columns.table.append([total >> tables.shift for total in sums])
         columns.by_id = dict(zip(columns.table[IDS], rows))
         return columns
 
@@ -123,8 +139,9 @@ class PacketColumns:
         destinations: Sequence[int],
     ) -> List[Sequence[Any]]:
         """The block of admitted packets' rows, in table order: each
-        sits at its source with no step history.  Needs the source
-        column."""
+        sits at its source with no step history, and its shortest
+        distance reads 0 until the admitting step's gather measures
+        it.  Needs the source column."""
         assert self.sources, "columns carry no sources"
         count = len(ids)
         return [
@@ -137,49 +154,54 @@ class PacketColumns:
                 for coords in self.tables.coords
             ),
             sources,
+            [0] * count,
         ]
 
-    def fresh_arrays(
+    def write_block(
         self,
         np: Any,
-        coords: Sequence[Any],
+        table: List[Any],
+        at: int,
         ids: Sequence[PacketId],
         sources: Sequence[int],
         destinations: Sequence[int],
-    ) -> List[Any]:
-        """:meth:`fresh_rows` as numpy arrays with :meth:`arrays`'
-        dtypes, for the numpy step: ``coords`` holds the per-axis
-        coordinate tables as arrays, gathered at the destinations."""
+    ) -> None:
+        """Write :meth:`fresh_rows`' block into rows ``at ..`` of
+        ``table``, numpy arrays in table order (:meth:`arrays`).
+
+        A table without room for the block has every column replaced,
+        in ``table``, by one twice the rows it then holds, with the
+        first ``at`` rows copied.  The shortest-distance rows are left
+        for the admitting step's gather.
+        """
         assert self.sources, "columns carry no sources"
-        ids, sources, destinations = (
-            np.asarray(column, dtype=np.int64)
-            for column in (ids, sources, destinations)
-        )
-        count = len(ids)
-        return [
-            ids,
-            sources,
-            destinations,
-            *(
-                np.full(count, value, dtype=_dtype(np, index))
-                if value
-                else np.zeros(count, dtype=_dtype(np, index))
-                for index, value in enumerate(FRESH_HISTORY, ENTRY)
-            ),
-            *(axis[destinations] for axis in coords),
-            sources,
-        ]
+        end = at + len(ids)
+        if end > table[IDS].shape[0]:
+            for index, column in enumerate(table):
+                grown = np.empty(2 * end, dtype=column.dtype)
+                grown[:at] = column[:at]
+                table[index] = grown
+        table[IDS][at:end] = ids
+        table[POS][at:end] = sources
+        table[DEST][at:end] = destinations
+        for index, value in enumerate(FRESH_HISTORY, ENTRY):
+            table[index][at:end] = value
+        for index, coords in enumerate(self.tables.coords, COORDS):
+            table[index][at:end] = [coords[node] for node in destinations]
+        table[COORDS + self.tables.dimension][at:end] = sources
 
     def fields(self, table: Optional[Sequence[Any]] = None) -> tuple:
         """``table`` (default :attr:`table`) column by column, in table
         order, with the per-axis destination coordinates as one list
-        and ``None`` for an absent source column."""
+        and ``None`` for absent source and shortest-distance
+        columns."""
         if table is None:
             table = self.table
+        source = COORDS + self.tables.dimension
         return (
             *table[:COORDS],
-            table[COORDS : COORDS + self.tables.dimension],
-            table[-1] if self.sources else None,
+            table[COORDS:source],
+            *(table[source:] if self.sources else (None, None)),
         )
 
     def arrays(self, np: Any) -> List[Any]:
@@ -199,15 +221,15 @@ class PacketColumns:
 
         One pass reads each written row's fields by index, so writing a
         few rows back costs what those rows need.  Only an admitted
-        row reads the source column (the table's last) and the
-        destination; a batch run has none, so the numpy step passes
-        the delivered rows of the columns through ``DEFLECTIONS`` as
-        lists.
+        row reads the source column and the destination; a batch run
+        has none, so the numpy step passes the delivered rows of the
+        columns through ``DEFLECTIONS`` as lists.
         """
         index_node = self.tables.index_node
         directions = self.tables.directions
         packet_of = self.by_id.get
         ids, pos, dest, entry, rl, al, hops, adv, defl = table[:COORDS]
+        origin = COORDS + self.tables.dimension
         packets = []
         for row in rows:
             packet = packet_of(ids[row])
@@ -215,7 +237,7 @@ class PacketColumns:
                 assert self.sources, "an admitted row needs its source"
                 packet = Packet(
                     id=ids[row],
-                    source=index_node[table[-1][row]],
+                    source=index_node[table[origin][row]],
                     destination=index_node[dest[row]],
                 )
             packet.location = index_node[pos[row]]

@@ -42,11 +42,14 @@ Two execution paths share the loop structure:
   (insertion or sorted) and running the full decision template at
   every node so the sanctioned RNG stream advances identically.
 
-A batch run (no injection source) on the vectorized path steps with
-numpy only while at least :data:`VECTOR_MIN_ROWS` packets are in
-flight, where numpy's fixed per-step cost beats the columnar loop.
-Below that it writes back and the columnar loop packs the survivors
-and finishes the run, the same boundary a checkpoint segment crosses.
+A run on the vectorized path steps with numpy only while enough
+packets are in flight for numpy's fixed per-step cost to beat the
+columnar loop.  A batch run (no injection source) starts on numpy at
+:data:`VECTOR_MIN_ROWS` live packets; below the constant it writes
+back and the columnar loop packs the survivors and finishes the run,
+the same boundary a checkpoint segment crosses.  An injecting run
+crosses that boundary both ways: it leaves numpy below half the
+constant and returns at the constant.
 
 Both paths are bit-identical to the object kernel: same
 :class:`StepSummary` stream, same :class:`RunTelemetry` counters, same
@@ -59,18 +62,21 @@ suite.
 Both loops hold the packets as the :class:`PacketColumns` row table,
 whose module alone knows the row layout: the columnar loop as its
 lists, bound once per run, the numpy path as numpy arrays in table
-order, which each step names in one unpacking and updates in place.
-A run fed by an injection source carries its packets as rows from
-admission to delivery.  The source admits rows (ids, source and
-destination node indices) against per-node loads, which join the
-table as a block of fresh rows (:meth:`PacketColumns.fresh_rows`);
-each delivering step hands ``on_deliver`` the delivered rows'
-columns, with every shortest distance gathered from the packed tables
-at a per-row source column.  A ``Packet`` is built only when a row is
-written back (:meth:`PacketColumns.write_rows`) at the end of a run
-segment (a checkpoint, the end of a ``run`` call).  A batch run (no
-source) carries no source column: its delivered rows are written back
-into the problem's packets, which the run's result reads.
+order with a live prefix, which each step names in one unpacking and
+updates in place.  A run fed by an injection source carries its
+packets as rows from admission to delivery.  The source admits rows
+(ids, source and destination node indices) against per-node loads,
+which join the table as a block of fresh rows: the columnar loop
+extends its lists (:meth:`PacketColumns.fresh_rows`), the numpy path
+writes them into its arrays' tail (:meth:`PacketColumns.write_block`),
+and the step's own gather, taken while they stand at their sources,
+fills their shortest-distance column.  Each delivering step hands
+``on_deliver`` the delivered rows' columns, that distance included.
+A ``Packet`` is built only when a row is written back
+(:meth:`PacketColumns.write_rows`) at the end of a run segment (a
+checkpoint, a change of loop, the end of a ``run`` call).  A batch
+run (no source) carries no source column: its delivered rows are
+written back into the problem's packets, which the run's result reads.
 
 The kernel's clock and delivery counters stay authoritative on the
 wrapped :class:`StepKernel` (``time``, ``delivered_total``), so engine
@@ -100,7 +106,8 @@ from repro.mesh.tables import ArcTables
 __all__ = ["SoaKernel", "VECTOR_MIN_ROWS"]
 
 #: Live-packet count below which a batch run leaves the numpy step for
-#: the columnar loop.  The numpy step pays a fixed cost per step, tens
+#: the columnar loop (an injecting run leaves below half of it and
+#: returns at it).  The numpy step pays a fixed cost per step, tens
 #: of small array calls, and the columnar loop a cost per packet.
 #: Median time of one profiled step at ``k`` live packets in
 #: microseconds, numpy / columnar, on a 2-vCPU Xeon VM (Python 3.11.7,
@@ -536,53 +543,34 @@ class SoaKernel:
         wrapped kernel's ``in_flight`` and distance table hold the
         surviving packets, bit-identical to the object loop.
 
-        A vectorized batch run takes the numpy step while at least
-        :data:`VECTOR_MIN_ROWS` packets are in flight and the columnar
-        loop for the rest; one that starts below the constant never
-        leaves the columnar loop.
+        A vectorized run takes the numpy step while enough packets are
+        in flight and the columnar loop otherwise.  A batch run starts
+        on numpy at :data:`VECTOR_MIN_ROWS` live packets and hands off
+        once, below the constant; one that starts below it never
+        leaves the columnar loop.  An injecting run, whose live count
+        rises and falls with its traffic, changes loops both ways: it
+        leaves numpy below half the constant and returns at the
+        constant.
         """
         kernel = self.kernel
-        if self.vectorized and (
-            kernel.injection is not None
-            or len(kernel.in_flight) >= VECTOR_MIN_ROWS
-        ):
-            self._run_vectorized(until, profiler)
-            if kernel.time >= until or not kernel.in_flight:
-                return
-        self._run_columnar(until, profiler)
+        if not self.vectorized:
+            self._run_columnar(until, profiler)
+        elif kernel.injection is None:
+            if len(kernel.in_flight) >= VECTOR_MIN_ROWS:
+                self._run_vectorized(until, profiler)
+                if kernel.time >= until or not kernel.in_flight:
+                    return
+            self._run_columnar(until, profiler)
+        else:
+            while kernel.time < until:
+                if len(kernel.in_flight) >= VECTOR_MIN_ROWS:
+                    self._run_vectorized(until, profiler)
+                else:
+                    self._run_columnar(until, profiler)
 
     # ------------------------------------------------------------------
     # Shared pieces
     # ------------------------------------------------------------------
-
-    def _admit_batch(
-        self,
-        columns: PacketColumns,
-        loads: List[int],
-        coords: Optional[List[Any]] = None,
-    ) -> Tuple[int, List[Any], int]:
-        """The inject phase against per-node loads (by node index).
-
-        Returns ``(generated, fresh, backlog)``: ``fresh`` is the block
-        of admitted rows the caller appends to its table, empty when
-        none was admitted: lists (:meth:`PacketColumns.fresh_rows`),
-        or numpy arrays (:meth:`PacketColumns.fresh_arrays`) when the
-        caller passes the numpy coordinate views ``coords``.
-        """
-        source = self.kernel.injection
-        assert source is not None
-        generated, ids, sources, destinations = source.admit_batch(
-            self.kernel.time, loads
-        )
-        if not ids:
-            fresh: List[Any] = []
-        elif coords is None:
-            fresh = columns.fresh_rows(ids, sources, destinations)
-        else:
-            fresh = columns.fresh_arrays(
-                _compat.np, coords, ids, sources, destinations
-            )
-        return generated, fresh, source.backlog_size()
 
     def _writeback(
         self, columns: PacketColumns
@@ -647,6 +635,9 @@ class SoaKernel:
         Node visit order, per-node decision templates and every RNG
         draw replicate the object kernel exactly — this path carries
         the policies whose stepping consumes the sanctioned stream.
+        An injecting run that the numpy step could take returns,
+        written back, once :data:`VECTOR_MIN_ROWS` packets are in
+        flight.
         """
         kernel = self.kernel
         adapter = self.adapter
@@ -667,6 +658,13 @@ class SoaKernel:
         on_deliver = kernel.on_deliver
         source = kernel.injection
         stop_when_empty = source is None
+        # An injecting run leaves for the numpy step at the constant;
+        # a batch run, or one numpy cannot take, never leaves.
+        max_rows = (
+            VECTOR_MIN_ROWS
+            if source is not None and self.vectorized
+            else None
+        )
         num_nodes = tables.num_nodes
         first_fit = adapter.first_fit
         deflection = adapter.deflection
@@ -685,12 +683,14 @@ class SoaKernel:
         state = columns.table
         # Admission and compaction change the columns in place, so
         # these names stay bound for the whole run.
-        ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs = (
+        ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, _, short = (
             columns.fields()
         )
 
         while kernel.time < until:
             if stop_when_empty and not pos:
+                break
+            if max_rows is not None and len(pos) >= max_rows:
                 break
             t0 = clock() if clock is not None else 0
             generated = injected = backlog = 0
@@ -698,10 +698,15 @@ class SoaKernel:
                 loads = [0] * num_nodes
                 for node_idx in pos:
                     loads[node_idx] += 1
-                generated, fresh, backlog = self._admit_batch(columns, loads)
-                if fresh:
-                    injected = len(fresh[IDS])
-                    for column, rows in zip(state, fresh):
+                generated, new_ids, origins, targets = source.admit_batch(
+                    kernel.time, loads
+                )
+                backlog = source.backlog_size()
+                injected = len(new_ids)
+                if injected:
+                    for column, rows in zip(
+                        state, columns.fresh_rows(new_ids, origins, targets)
+                    ):
                         column.extend(rows)
             t1 = clock() if clock is not None else 0
 
@@ -720,6 +725,12 @@ class SoaKernel:
             total_distance = 0
             for value in acc:
                 total_distance += value >> shift
+            if injected:
+                # Admitted rows stand at their sources, so the gather
+                # measured their shortest distances.
+                short[m - injected :] = [
+                    value >> shift for value in acc[m - injected :]
+                ]
             # Grouping preserves the object kernel's node visit order:
             # dict insertion order is first-seen row order, and sorted
             # node indices coincide with sorted node tuples because
@@ -871,23 +882,13 @@ class SoaKernel:
                     for packet in columns.write_rows(state, delivered):
                         packet.delivered_at = now
                 if on_deliver is not None:
-                    assert srcs is not None
+                    assert short is not None
                     on_deliver(
                         [ids[row] for row in delivered],
                         now,
                         [hops[row] for row in delivered],
                         [defl[row] for row in delivered],
-                        [
-                            sum(
-                                packed[axis][
-                                    tcoords[axis][srcs[row]] * side1
-                                    + dcs[axis][row]
-                                ]
-                                for axis in range(dimension)
-                            )
-                            >> shift
-                            for row in delivered
-                        ],
+                        [short[row] for row in delivered],
                     )
                 keep = [True] * len(pos)
                 for row in delivered:
@@ -927,10 +928,13 @@ class SoaKernel:
 
         Only legal for RNG-free policies, where per-node decisions are
         pure functions of each node's rows (visit order immaterial).
-        A batch kernel returns, written back, once fewer than
-        :data:`VECTOR_MIN_ROWS` packets remain in flight.  The rows
-        are the :class:`PacketColumns` table as numpy arrays in table
-        order, which a step updates in place.
+        It returns, written back, once fewer than
+        :data:`VECTOR_MIN_ROWS` packets remain in flight, an injecting
+        kernel once fewer than half of them.  The rows are the
+        :class:`PacketColumns` table as numpy arrays in table order,
+        live in a prefix of ``live`` rows: a step updates them in
+        place, admission writes the tail (the arrays grow when full)
+        and delivery compacts every column in place.
         """
         np = _compat.np
         assert np is not None
@@ -953,9 +957,13 @@ class SoaKernel:
         on_deliver = kernel.on_deliver
         source = kernel.injection
         num_nodes = tables.num_nodes
-        # A batch run leaves below the constant (always at zero); an
-        # injecting run never leaves.
-        min_rows = max(VECTOR_MIN_ROWS, 1) if source is None else 0
+        # A batch run leaves below the constant (always at zero), an
+        # injecting run below half of it.
+        min_rows = (
+            max(VECTOR_MIN_ROWS, 1)
+            if source is None
+            else VECTOR_MIN_ROWS // 2
+        )
         decisions = _decision_table(
             views, np, two_d, adapter.first_fit, adapter.deflection
         )
@@ -979,6 +987,7 @@ class SoaKernel:
             sources=source is not None or on_deliver is not None,
         )
         state = columns.arrays(np)
+        live = len(columns)
         # Random-rank: the rows in rank order (ties by row), sorted
         # once here and carried through every compaction, so a step
         # only radix-orders it by node.
@@ -994,35 +1003,43 @@ class SoaKernel:
             )
 
         while kernel.time < until:
-            if state[POS].shape[0] < min_rows:
+            if live < min_rows:
                 break
             t0 = clock() if clock is not None else 0
             generated = injected = backlog = 0
             if source is not None:
                 # Per-node loads from one bincount; the source's rows
-                # join the table with no Packet behind them.
-                generated, fresh, backlog = self._admit_batch(
-                    columns,
-                    np.bincount(state[POS], minlength=num_nodes).tolist(),
-                    coords_v,
+                # join the table's tail with no Packet behind them.
+                generated, new_ids, origins, targets = source.admit_batch(
+                    kernel.time,
+                    np.bincount(
+                        state[POS][:live], minlength=num_nodes
+                    ).tolist(),
                 )
-                if fresh:
-                    injected = len(fresh[IDS])
-                    state = [
-                        np.concatenate((array, rows))
-                        for array, rows in zip(state, fresh)
-                    ]
+                backlog = source.backlog_size()
+                injected = len(new_ids)
+                if injected:
+                    columns.write_block(
+                        np, state, live, new_ids, origins, targets
+                    )
+                    live += injected
             t1 = clock() if clock is not None else 0
 
-            ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs = (
-                columns.fields(state)
+            ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, _, short = (
+                columns.fields([array[:live] for array in state])
             )
             step_index = kernel.time
-            m = int(pos.shape[0])
+            m = live
             routed = m
             acc = gather(pos, dcs)
             gm = acc & mask_all
             total_distance = int((acc >> shift).sum())
+            if injected:
+                # Admitted rows stand at their sources, so the gather
+                # measured their shortest distances.
+                np.right_shift(
+                    acc[m - injected :], shift, out=short[m - injected :]
+                )
 
             if buffered:
                 (
@@ -1120,26 +1137,20 @@ class SoaKernel:
                     ):
                         packet.delivered_at = now
                 if on_deliver is not None:
-                    # Ascending row order = ascending id.  Shortest
-                    # distances: the step's gathers, at the sources.
+                    # Ascending row order = ascending id.
                     on_deliver(
                         ids[rows].tolist(),
                         now,
                         hops[rows].tolist(),
                         defl[rows].tolist(),
-                        (
-                            gather(srcs[rows], [dc[rows] for dc in dcs])
-                            >> shift
-                        ).tolist(),
+                        short[rows].tolist(),
                     )
                 keep = np.ones(m, dtype=bool)
                 keep[rows] = False
-                # Unbind the step's names first, so each column is freed
-                # as its compacted copy is made: one table's worth of
-                # memory, not two, stays in cache.
-                del ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs
-                for index, array in enumerate(state):
-                    state[index] = array[keep]
+                kept = np.flatnonzero(keep)
+                live = m - delivered_count
+                for array in state:
+                    array[:live] = array[kept]
                 if rank_order is not None:
                     rank_order = compact_order(np, rank_order, keep)
             t5 = clock() if clock is not None else 0
@@ -1168,7 +1179,7 @@ class SoaKernel:
 
         decisions.flush(np)
         # .tolist() yields Python ints and bools.
-        columns.table = [array.tolist() for array in state]
+        columns.table = [array[:live].tolist() for array in state]
         self._writeback(columns)
 
     def _step_buffered_vectorized(

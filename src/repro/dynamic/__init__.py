@@ -13,6 +13,7 @@ from repro.dynamic.engine import DynamicEngine
 from repro.dynamic.injection import (
     BernoulliTraffic,
     HotSpotTraffic,
+    IndexedTraffic,
     ScriptedTraffic,
     TrafficModel,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "DynamicStats",
     "HotSpotTraffic",
     "ImmediateInjection",
+    "IndexedTraffic",
     "ScriptedTraffic",
     "TrafficModel",
 ]

@@ -70,5 +70,6 @@ class DynamicEngine(DynamicEngineBase):
 
     @property
     def backlog(self) -> Dict[Node, Deque[Tuple[int, Node]]]:
-        """Pending (generated, not yet injected) demand per node."""
-        return self._source.backlog
+        """Pending (generated, not yet injected) demand per node, in
+        drain order: a copy of the source's index-keyed queues."""
+        return self._source.backlog()

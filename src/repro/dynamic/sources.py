@@ -19,17 +19,20 @@ admit packets as *rows*: :meth:`~repro.core.kernel.InjectionSource.admit_batch`
 takes the per-node loads and returns the admitted packets' ids,
 source node indices and destination node indices, numbered in
 ``mesh.nodes()`` order (a node list and index cached at
-:meth:`prepare`).  The array kernel appends those rows to its columns
-and builds no ``Packet`` for them; the object loops get ``Packet``
-objects from :meth:`~repro.core.kernel.InjectionSource.admit`.
+:meth:`prepare`).  The traffic model answers in the same numbering
+(:meth:`~repro.dynamic.injection.TrafficModel.arrival_rows`), so the
+sources handle integers only: the capacity-limited queues are keyed
+by node index and hold destination indices.  The array kernel appends
+the admitted rows to its columns and builds no ``Packet`` for them;
+the object loops get ``Packet`` objects from
+:meth:`~repro.core.kernel.InjectionSource.admit`.
 
 Determinism contract: generation visits ``mesh.nodes()`` in mesh
-order (one :meth:`~repro.dynamic.injection.TrafficModel.arrivals`
-call per step), and capacity-limited injection drains
-``backlog.items()`` in *insertion* order (nodes enter the dict on
-their first generation and keep that position), which fixes packet
-ids and hence every downstream RNG-sensitive decision.  Do not "clean
-up" either iteration order.
+order (one ``arrival_rows`` call per step), and capacity-limited
+injection drains its queues in *insertion* order (a node's queue
+enters on the node's first generation and keeps that position), which
+fixes packet ids and hence every downstream RNG-sensitive decision.
+Do not "clean up" either order.
 """
 
 from __future__ import annotations
@@ -49,16 +52,18 @@ class CapacityLimitedInjection(InjectionSource):
 
     def __init__(self, traffic: TrafficModel) -> None:
         self.traffic = traffic
-        #: Pending (generated, not yet injected) packets per node:
-        #: queue of (generation step, destination).
-        self.backlog: Dict[Node, Deque[Tuple[int, Node]]] = defaultdict(deque)
+        #: Pending (generated, not yet injected) packets per node
+        #: index, in drain order (each node's first generation): queue
+        #: of (generation step, destination index).  A node whose
+        #: queue empties keeps its entry and its place.
+        self.queues: Dict[int, Deque[Tuple[int, int]]] = {}
         self.next_id: PacketId = 0
         self.generated_at: Dict[PacketId, int] = {}
         self._nodes: List[Node] = []
         self._index: Dict[Node, int] = {}
         #: Out-degree per node index.
         self._degrees: List[int] = []
-        #: Running total of ``backlog``'s queue lengths.
+        #: Running total of the queues' lengths.
         self._pending = 0
 
     def prepare(self, mesh: Mesh, rng: random.Random) -> None:
@@ -68,34 +73,37 @@ class CapacityLimitedInjection(InjectionSource):
         self.traffic.prepare(mesh, rng)
 
     def admit_batch(self, time: int, loads: Sequence[int]) -> AdmittedRows:
-        """Generate this step's demand into the backlog, then drain
-        each node's queue into its free arcs, ``degree - load``."""
+        """Generate this step's demand into the queues, then drain each
+        node's queue into its free arcs, ``degree - load``, in drain
+        order."""
         degrees = self._degrees
         assert degrees, "prepare() must run before admit_batch()"
-        backlog = self.backlog
+        queues = self.queues
         generated = 0
-        for node, destination in self.traffic.arrivals(time):
-            if destination == node:
+        for at, to in zip(*self.traffic.arrival_rows(time, self._index)):
+            if to == at:
                 continue  # zero-distance demand is a no-op
-            backlog[node].append((time, destination))
+            queue = queues.get(at)
+            if queue is None:
+                queue = queues[at] = deque()
+            queue.append((time, to))
             generated += 1
-        index = self._index
         generated_at = self.generated_at
         first = packet_id = self.next_id
         sources: List[int] = []
         destinations: List[int] = []
-        for node, queue in backlog.items():
-            if not queue:
-                continue
-            at = index[node]
-            free = degrees[at] - loads[at]
-            while queue and free > 0:
-                born, destination = queue.popleft()
-                generated_at[packet_id] = born
-                sources.append(at)
-                destinations.append(index[destination])
-                packet_id += 1
-                free -= 1
+        # Walking every queue costs less than keeping the waiting
+        # nodes apart in drain order.
+        for at, queue in queues.items():
+            if queue:
+                free = degrees[at] - loads[at]
+                while queue and free > 0:
+                    born, destination = queue.popleft()
+                    generated_at[packet_id] = born
+                    sources.append(at)
+                    destinations.append(destination)
+                    packet_id += 1
+                    free -= 1
         self.next_id = packet_id
         self._pending += generated - (packet_id - first)
         return generated, list(range(first, packet_id)), sources, destinations
@@ -103,15 +111,27 @@ class CapacityLimitedInjection(InjectionSource):
     def backlog_size(self) -> int:
         return self._pending
 
+    def backlog(self) -> Dict[Node, Deque[Tuple[int, Node]]]:
+        """The queues keyed by node, holding (generation step,
+        destination node) pairs, in drain order: a copy."""
+        nodes = self._nodes
+        backlog: Dict[Node, Deque[Tuple[int, Node]]] = defaultdict(deque)
+        for at, queue in self.queues.items():
+            backlog[nodes[at]] = deque(
+                (born, nodes[destination]) for born, destination in queue
+            )
+        return backlog
+
     def snapshot_state(self) -> Dict[str, Any]:
         """JSON-safe source state (see :mod:`repro.snapshot`).
 
         The backlog is serialized as an ordered list of
-        ``[node, [[generated, destination], ...]]`` pairs: dict
+        ``[node, [[generated, destination], ...]]`` pairs: the queues'
         *insertion* order is the drain-order determinism contract, so
         it must survive the round trip — including nodes whose queue
         is currently empty, which keep their position.
         """
+        nodes = self._nodes
         return {
             "type": "capacity-limited",
             "next_id": self.next_id,
@@ -121,10 +141,13 @@ class CapacityLimitedInjection(InjectionSource):
             },
             "backlog": [
                 [
-                    list(node),
-                    [[step, list(destination)] for step, destination in queue],
+                    list(nodes[at]),
+                    [
+                        [step, list(nodes[destination])]
+                        for step, destination in queue
+                    ],
                 ]
-                for node, queue in self.backlog.items()
+                for at, queue in self.queues.items()
             ],
         }
 
@@ -134,19 +157,20 @@ class CapacityLimitedInjection(InjectionSource):
                 f"source snapshot type {payload.get('type')!r} does not "
                 f"match CapacityLimitedInjection"
             )
+        index = self._index
         self.next_id = int(payload["next_id"])
         self.generated_at = {
             int(packet_id): int(step)
             for packet_id, step in payload["generated_at"].items()
         }
-        self.backlog = defaultdict(deque)
-        for node_data, queue_data in payload["backlog"]:
-            node = tuple(int(c) for c in node_data)
-            self.backlog[node] = deque(
-                (int(step), tuple(int(c) for c in destination))
+        self.queues = {
+            index[tuple(int(c) for c in node_data)]: deque(
+                (int(step), index[tuple(int(c) for c in destination)])
                 for step, destination in queue_data
             )
-        self._pending = sum(len(queue) for queue in self.backlog.values())
+            for node_data, queue_data in payload["backlog"]
+        }
+        self._pending = sum(len(queue) for queue in self.queues.values())
 
 
 class ImmediateInjection(InjectionSource):
@@ -173,12 +197,12 @@ class ImmediateInjection(InjectionSource):
         first = packet_id = self.next_id
         sources: List[int] = []
         destinations: List[int] = []
-        for node, destination in self.traffic.arrivals(time):
-            if destination == node:
+        for at, to in zip(*self.traffic.arrival_rows(time, index)):
+            if to == at:
                 continue
             generated_at[packet_id] = time
-            sources.append(index[node])
-            destinations.append(index[destination])
+            sources.append(at)
+            destinations.append(to)
             packet_id += 1
         self.next_id = packet_id
         injected = packet_id - first

@@ -389,6 +389,10 @@ def append_jsonl(
     torn trailing line, never an acknowledged one — the durability
     contract the campaign event log relies on.  Batching several
     payloads into one call pays the fsync once for the whole batch.
+
+    A file whose last byte is not a newline ends in a torn line; the
+    buffer then starts with a newline, so the tear costs the torn line
+    alone and never this append's first payload.
     """
     if not payloads:
         return
@@ -406,8 +410,11 @@ def append_jsonl(
         + b"\n"
         for payload in payloads
     )
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
+        end = os.lseek(fd, 0, os.SEEK_END)
+        if end and os.pread(fd, 1, end - 1) != b"\n":
+            buffer = b"\n" + buffer
         view = memoryview(buffer)
         while view:
             written = _os_write(fd, view)

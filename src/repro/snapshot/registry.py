@@ -172,10 +172,10 @@ SNAPSHOT_REGISTRY: Tuple[SnapshotSpec, ...] = (
     _spec(
         "dynamic.sources",
         "CapacityLimitedInjection",
-        # ``_pending`` is the backlog's length, recounted by
+        # ``_pending`` is the queues' length, recounted by
         # restore_state(); the node list, node index and degree table
         # are rebuilt by prepare().
-        fields=("backlog", "next_id", "generated_at"),
+        fields=("queues", "next_id", "generated_at"),
         derived=("traffic", "_nodes", "_index", "_degrees", "_pending"),
     ),
     _spec(

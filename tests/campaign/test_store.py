@@ -2,6 +2,7 @@
 
 import json
 
+from repro.campaign.orchestrator import Campaign
 from repro.campaign.results import CaseFailure
 from repro.campaign.spec import CaseSpec, spec_key
 from repro.campaign.store import (
@@ -9,7 +10,7 @@ from repro.campaign.store import (
     CampaignStore,
 )
 from repro.campaign.worker import execute_case
-from repro.chaos.injector import ChaosPlan, durability_chaos
+from repro.chaos.injector import ChaosPlan, durability_chaos, tear_tail
 
 
 def _spec(seed, **overrides):
@@ -213,6 +214,26 @@ class TestTornLineRecovery:
         # The torn event's case simply runs again.
         assert state.pending() == [keys[1]]
         assert keys[0] in state.points
+
+    def test_append_after_a_torn_tail_starts_a_new_line(self, tmp_path):
+        # A 2-spec serial campaign whose log is cut inside its last
+        # case-finished, re-run with a third spec over the same store:
+        # the grown campaign's case-queued must not glue onto the torn
+        # line, or the third spec vanishes from the log.
+        store = CampaignStore(str(tmp_path / "log.jsonl"))
+        specs = [_spec(0), _spec(1)]
+        with Campaign(specs, store=store) as campaign:
+            campaign.run()
+        tear_tail(store.path, 17)
+        grown = specs + [_spec(2)]
+        with Campaign(grown, store=store) as campaign:
+            result = campaign.run()
+        assert len(result.points) == 3
+        state = store.replay()
+        assert state.order == [spec_key(spec) for spec in grown]
+        assert len(state.errors) == 1  # the torn line alone
+        assert set(state.points) == set(state.order)
+        assert Campaign.from_store(store).keys == state.order
 
     def test_foreign_schema_version_is_skipped(self, tmp_path):
         store = CampaignStore(str(tmp_path / "log.jsonl"))

@@ -90,11 +90,12 @@ class TestPackUnpackRoundTrip:
         assert any(p.restricted_last_step for p in packets)
         assert any(p.advanced_last_step for p in packets)
         assert any(p.deflections for p in packets)
-        tables = arc_tables_for(Mesh(2, 5))
+        mesh = Mesh(2, 5)
+        tables = arc_tables_for(mesh)
         node_index = tables.node_index
 
         def rows_of(columns):
-            ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs = (
+            ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs, short = (
                 columns.fields()
             )
             return [
@@ -110,6 +111,7 @@ class TestPackUnpackRoundTrip:
                     adv[row],
                     defl[row],
                     srcs[row],
+                    short[row],
                 )
                 for row in range(len(columns))
             ]
@@ -131,17 +133,20 @@ class TestPackUnpackRoundTrip:
                 p.advances,
                 p.deflections,
                 node_index[p.source],
+                mesh.distance(p.source, p.destination),
             )
             for p in packets
         ]
         assert list(packed.by_id.values()) == packets
         unsourced = PacketColumns.pack(packets, tables)
-        assert unsourced.fields()[-1] is None
-        assert unsourced.table == packed.table[:-1]
+        assert unsourced.fields()[-2:] == (None, None)
+        assert unsourced.table == packed.table[:-2]
 
         # Admitted packets: their rows, appended one by one with no
         # Packet behind them and all at once as one block, equal the
-        # packed fresh packets, and the writeback builds those packets.
+        # packed fresh packets but for the shortest distances, which
+        # the admitting step measures, and the writeback builds those
+        # packets.
         fresh = [
             Packet(id=problem.k + 1, source=(2, 3), destination=(1, 5)),
             Packet(id=problem.k + 2, source=(5, 5), destination=(1, 1)),
@@ -168,6 +173,8 @@ class TestPackUnpackRoundTrip:
         ):
             column.extend(rows)
         for appended in (one_by_one, at_once):
+            assert appended.table[-1] == [0] * len(fresh)
+            appended.table[-1][:] = reference.table[-1]
             assert rows_of(appended) == rows_of(reference)
             assert appended.table == reference.table
             assert appended.by_id == {}
@@ -240,10 +247,12 @@ class TestPackUnpackRoundTrip:
         columns = PacketColumns.pack(
             packets, arc_tables_for(Mesh(2, 5)), sources=True
         )
-        ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs = (
+        ids, pos, dest, entry, rl, al, hops, adv, defl, dcs, srcs, short = (
             columns.fields()
         )
-        bound = [ids, pos, dest, entry, rl, al, hops, adv, defl, *dcs, srcs]
+        bound = [
+            ids, pos, dest, entry, rl, al, hops, adv, defl, *dcs, srcs, short
+        ]
         keep = [row % 3 == 0 for row in range(len(columns))]
         kept_ids = [pid for pid, flag in zip(ids, keep) if flag]
         columns.compact(keep)
@@ -273,14 +282,46 @@ class TestPackUnpackRoundTrip:
         # integers and flags.
         empty = PacketColumns(arc_tables_for(Mesh(2, 5)), sources=True)
         dtypes = [array.dtype for array in empty.arrays(np)]
-        grown = [
-            np.concatenate((array, block)).dtype
-            for array, block in zip(
-                empty.arrays(np), empty.fresh_rows([7], [3], [12])
-            )
-        ]
-        assert grown == dtypes
+        grown = empty.arrays(np)
+        empty.write_block(np, grown, 0, [7], [3], [12])
+        assert [array.dtype for array in grown] == dtypes
         assert {str(dtype) for dtype in dtypes} == {"int64", "bool"}
+
+    def test_write_block_equals_fresh_rows(self):
+        # The numpy step writes admitted blocks into its arrays' tail:
+        # the rows fresh_rows builds, but for the shortest distances,
+        # which the step's gather fills.  A full table grows to twice
+        # the rows it then holds, keeping the live prefix.
+        np = pytest.importorskip("numpy")
+        tables = arc_tables_for(Mesh(2, 5))
+        columns = PacketColumns.pack(
+            self._mid_run_packets(), tables, sources=True
+        )
+        live = len(columns)
+        state = columns.arrays(np)
+        blocks = (
+            ([100, 101], [3, 0], [12, 7]),
+            ([102], [24], [0]),
+            ([103, 104, 105], [5, 5, 6], [9, 1, 20]),
+        )
+        for ids, sources, destinations in blocks:
+            capacity = state[0].shape[0]
+            before = [array[:live].copy() for array in state]
+            columns.write_block(np, state, live, ids, sources, destinations)
+            end = live + len(ids)
+            expected_capacity = capacity if end <= capacity else 2 * end
+            assert {array.shape[0] for array in state} == {
+                expected_capacity
+            }
+            for array, kept in zip(state, before):
+                assert array[:live].tolist() == kept.tolist()
+            block = columns.fresh_rows(ids, sources, destinations)
+            for array, rows in zip(state[:-1], block[:-1]):
+                assert array[live:end].tolist() == list(rows)
+            assert [array.dtype for array in state] == [
+                array.dtype for array in columns.arrays(np)
+            ]
+            live = end
 
     def test_write_rows_block_equals_row_by_row(self):
         tables = arc_tables_for(Mesh(2, 5))

@@ -330,17 +330,32 @@ def _near_saturation_run():
 
 @needs_numpy
 def test_warm_table_takes_no_python_per_node(monkeypatch):
+    # The run starts empty, so its first steps take the columnar loop,
+    # which solves every node in Python by design; the numpy step's
+    # nodes must all come from the warm table.
     first = _near_saturation_run()
     calls = []
     real = soa_kernel.resolve_node
+    segments = []
+    run_vectorized = SoaKernel._run_vectorized
 
     def counted(*args):
-        calls.append(args)
+        if segments and segments[-1] is None:
+            calls.append(args)
         return real(*args)
 
+    def numpy_segment(self, until, profiler):
+        segments.append(None)
+        try:
+            run_vectorized(self, until, profiler)
+        finally:
+            segments[-1] = self.kernel.time
+
     monkeypatch.setattr(soa_kernel, "resolve_node", counted)
+    monkeypatch.setattr(SoaKernel, "_run_vectorized", numpy_segment)
     second = _near_saturation_run()
     assert second.telemetry == first.telemetry
+    assert segments and segments[-1] == 200
     assert calls == []
     tables = arc_tables_for(Mesh(2, 16)).backend_views["decisions"]
     assert 0 < len(tables[(False, "ordered")]) < 5000

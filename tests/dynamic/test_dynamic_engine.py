@@ -3,17 +3,20 @@
 import pytest
 
 from repro.algorithms import (
+    DimensionOrderPolicy,
     PlainGreedyPolicy,
     RandomizedGreedyPolicy,
     RestrictedPriorityPolicy,
 )
 from repro.core.packet import Packet
-from repro.core.soa import _compat
+from repro.core.soa import SoaKernel, _compat
 from repro.dynamic import (
     BernoulliTraffic,
+    BufferedDynamicEngine,
     DynamicEngine,
     DynamicStats,
     ScriptedTraffic,
+    TrafficModel,
 )
 from repro.mesh.topology import Mesh
 from tests.dynamic.rows import run_rows
@@ -229,8 +232,9 @@ class TestStats:
 class TestRowsUntilWriteback:
     """On the array kernel an admitted packet is a row of integer
     columns from generation to delivery: a ``Packet`` is built only for
-    the survivors a segment end writes back (each checkpoint and the
-    run's end), never per injected or delivered packet."""
+    the survivors a segment end writes back (each checkpoint, each
+    change of loop and the run's end), never per injected or delivered
+    packet."""
 
     @pytest.mark.parametrize("loop", ["numpy", "columnar"])
     def test_packets_built_only_at_writebacks(self, loop, monkeypatch):
@@ -247,6 +251,14 @@ class TestRowsUntilWriteback:
 
         monkeypatch.setattr(Packet, "__post_init__", counting)
         written_back = []
+        writeback = SoaKernel._writeback
+
+        def recorded(self, columns):
+            written_back.append(len(columns))
+            writeback(self, columns)
+
+        monkeypatch.setattr(SoaKernel, "_writeback", recorded)
+        checkpoints = []
         engine = DynamicEngine(
             Mesh(2, 16),
             RestrictedPriorityPolicy(),
@@ -254,17 +266,65 @@ class TestRowsUntilWriteback:
             seed=1,
             warmup=20,
             checkpoint_every=100,
-            on_checkpoint=lambda _: written_back.append(
+            on_checkpoint=lambda _: checkpoints.append(
                 len(engine.in_flight)
             ),
         )
         _, deliveries, stats = run_rows(engine, 300)
-        written_back.append(len(engine.in_flight))
         assert engine.backend_used == "soa"
-        assert len(written_back) == 3
+        assert len(checkpoints) == 2
+        assert checkpoints == written_back[-3:-1]
+        assert written_back[-1] == len(engine.in_flight)
         assert len(built) == len(set(built))
         assert len(built) <= sum(written_back)
         # One Packet per injected packet would be ~15k.
         assert engine.telemetry.injected > 5 * sum(written_back)
         assert len(deliveries) == engine.telemetry.delivered
         assert stats.delivered_count > 0
+
+
+class _PairsOnly(TrafficModel):
+    """A model that implements ``arrivals`` alone: node pairs, not the
+    node indices the shipped models draw."""
+
+    def __init__(self, rate):
+        self.inner = BernoulliTraffic(rate)
+
+    def prepare(self, mesh, rng):
+        self.inner.prepare(mesh, rng)
+
+    def arrivals(self, step):
+        return self.inner.arrivals(step)
+
+
+class TestPairsOnlyTraffic:
+    """The sources read a model's demand as node indices; a model that
+    answers only in node pairs is mapped through the node index and
+    runs exactly as the model it wraps."""
+
+    @pytest.mark.parametrize("backend", ["object", "auto"])
+    @pytest.mark.parametrize(
+        "engine_class,policy_class",
+        [
+            (DynamicEngine, RestrictedPriorityPolicy),
+            (BufferedDynamicEngine, DimensionOrderPolicy),
+        ],
+        ids=["dynamic", "buffered-dynamic"],
+    )
+    def test_runs_as_the_model_it_wraps(
+        self, engine_class, policy_class, backend
+    ):
+        def observed(traffic):
+            checkpoints = []
+            engine = engine_class(
+                Mesh(2, 8),
+                policy_class(),
+                traffic,
+                seed=4,
+                backend=backend,
+                checkpoint_every=25,
+                on_checkpoint=checkpoints.append,
+            )
+            return run_rows(engine, 150), engine.telemetry, checkpoints
+
+        assert observed(_PairsOnly(0.3)) == observed(BernoulliTraffic(0.3))

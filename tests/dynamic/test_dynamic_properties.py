@@ -16,6 +16,7 @@ from repro.dynamic import (
 )
 from repro.faults import random_schedule
 from repro.mesh.topology import Mesh
+from repro.snapshot import engine_snapshot
 from tests.dynamic.rows import run_rows
 
 SLOW = settings(
@@ -87,6 +88,66 @@ class TestHotPotatoDynamicProperties:
             assert injected <= generated + backlog + 10**9
             assert 0 <= advancing <= in_flight
             assert delivered <= in_flight
+
+
+#: Side, rate, horizon, checkpoint interval and seed of a backend
+#: differential: light runs stay columnar, dense ones take the numpy
+#: step, and runs between them change loops both ways; short
+#: checkpoint intervals cut every run into segments that each pack
+#: and write back, and every numpy segment grows its arrays.
+differential = st.tuples(
+    st.sampled_from([3, 5, 8, 12]),
+    st.floats(0.01, 0.6),
+    st.integers(1, 120),
+    st.sampled_from([None, 1, 4, 9, 30]),
+    st.integers(0, 10_000),
+)
+
+
+def _observed(engine_class, policy_class, p, backend):
+    """Everything a dynamic run shows: statistics, telemetry, the
+    step and delivery rows, the backlog, every checkpoint payload and
+    the final snapshot."""
+    side, rate, horizon, every, seed = p
+    checkpoints = []
+    engine = engine_class(
+        Mesh(2, side),
+        policy_class(),
+        BernoulliTraffic(rate),
+        seed=seed,
+        warmup=horizon // 4,
+        backend=backend,
+        checkpoint_every=every,
+        on_checkpoint=checkpoints.append if every else None,
+    )
+    rows = run_rows(engine, horizon)
+    backlog = (
+        engine.backlog if isinstance(engine, DynamicEngine) else None
+    )
+    return (
+        rows,
+        engine.telemetry,
+        backlog,
+        checkpoints,
+        engine_snapshot(engine),
+    )
+
+
+class TestBackendDifferential:
+    """``backend="auto"`` (the array kernel: columnar, numpy, or both
+    in turn) against the object loop, run for run."""
+
+    @given(differential)
+    @SLOW
+    def test_hot_potato_auto_equals_object(self, p):
+        args = (DynamicEngine, RestrictedPriorityPolicy, p)
+        assert _observed(*args, "auto") == _observed(*args, "object")
+
+    @given(differential)
+    @SLOW
+    def test_buffered_auto_equals_object(self, p):
+        args = (BufferedDynamicEngine, DimensionOrderPolicy, p)
+        assert _observed(*args, "auto") == _observed(*args, "object")
 
 
 class TestBufferedDynamicProperties:

@@ -9,9 +9,10 @@ run shows unchanged: the result, the telemetry, the per-step summary
 stream, the final engine state, profiling, checkpoints and resume.
 
 Batch sizes sit below, at and above the constant, so runs start on
-either loop and cross mid-run.  Without numpy every array run is
-columnar: the differentials still run there, and the checks on which
-loop ran are skipped.
+either loop and cross mid-run.  An injecting run crosses both ways:
+it leaves numpy below half the constant and returns at the constant.
+Without numpy every array run is columnar: the differentials still
+run there, and the checks on which loop ran are skipped.
 """
 
 import pytest
@@ -26,7 +27,7 @@ from repro.core.events import CallbackObserver
 from repro.core.soa import kernel as soa_kernel
 from repro.core.soa.kernel import VECTOR_MIN_ROWS
 from repro.core.validation import validators_for
-from repro.dynamic import BernoulliTraffic, DynamicEngine
+from repro.dynamic import BernoulliTraffic, DynamicEngine, ScriptedTraffic
 from repro.mesh.topology import Mesh
 from repro.mesh.torus import Torus
 from repro.obs.profiler import PhaseProfiler
@@ -107,6 +108,53 @@ def _crossing_step(summaries, k):
         if live < VECTOR_MIN_ROWS:
             return summary.step
     return None
+
+
+def _bursts(backend):
+    """A dynamic run of two scripted bursts, 48 packets from the
+    rim of a side-12 mesh to the far rim at steps 0 and 30, and
+    everything it shows: statistics, telemetry, the summary stream, the
+    backlog and the final state."""
+    rim = [(x, y) for x in range(1, 13) for y in (1, 2, 11, 12)]
+    script = [
+        (node, step, (13 - node[0], 13 - node[1]))
+        for step in (0, 30)
+        for node in rim
+    ]
+    summaries = []
+    engine = DynamicEngine(
+        Mesh(2, 12),
+        make_policy("restricted-priority"),
+        ScriptedTraffic(script),
+        seed=SEED,
+        backend=backend,
+        observers=[CallbackObserver(on_summary=summaries.append)],
+    )
+    stats = engine.run(60)
+    return (
+        stats,
+        summaries,
+        engine.telemetry,
+        engine.backlog,
+        engine_snapshot(engine),
+    )
+
+
+def _switches(summaries):
+    """The loops an injecting array run enters, with the step and live
+    count at entry, by the rule: numpy from the constant on, until
+    fewer than half of it are live."""
+    entered = []
+    for summary in summaries:
+        live = summary.routed - summary.injected
+        name = entered[-1][0] if entered else None
+        if name != "_run_vectorized" and live >= VECTOR_MIN_ROWS:
+            entered.append(("_run_vectorized", summary.step, live))
+        elif name is None or (
+            name == "_run_vectorized" and live < VECTOR_MIN_ROWS // 2
+        ):
+            entered.append(("_run_columnar", summary.step, live))
+    return entered
 
 
 @pytest.fixture
@@ -270,9 +318,9 @@ class TestLoopChoice:
         ).run()
         assert loops == plain
 
-    def test_injecting_run_stays_on_numpy(self, loops):
+    def test_light_injecting_run_stays_columnar(self, loops):
         # A light load keeps far fewer packets in flight than the
-        # constant; an injecting kernel still never hands off.
+        # constant, so an injecting run never pays for numpy.
         engine = DynamicEngine(
             Mesh(2, 5),
             make_policy("restricted-priority"),
@@ -283,7 +331,43 @@ class TestLoopChoice:
         )
         engine.run(60)
         assert engine.telemetry.max_in_flight < VECTOR_MIN_ROWS
-        assert [name for name, _, _ in loops] == ["_run_vectorized"]
+        assert [name for name, _, _ in loops] == ["_run_columnar"]
+
+    def test_injecting_run_changes_loops_both_ways(self, loops):
+        # Two bursts with a lull between them: the run starts columnar,
+        # takes numpy at the constant, leaves below half of it, and
+        # takes numpy again at the second burst.  Between the two
+        # bounds it stays where it is.
+        runs = {
+            backend: _bursts(backend) for backend in ("object", "auto")
+        }
+        assert runs["auto"] == runs["object"]
+        summaries = runs["object"][1]
+        assert any(
+            VECTOR_MIN_ROWS // 2
+            <= summary.routed - summary.injected
+            < VECTOR_MIN_ROWS
+            for summary in summaries
+        ), "the live count should pass between the bounds"
+        expected = _switches(summaries)
+        assert loops == expected
+        assert [name for name, _, _ in loops] == [
+            "_run_columnar",
+            "_run_vectorized",
+            "_run_columnar",
+            "_run_vectorized",
+            "_run_columnar",
+        ]
+        assert all(
+            live >= VECTOR_MIN_ROWS
+            for name, _, live in loops
+            if name == "_run_vectorized"
+        )
+        assert all(
+            live < VECTOR_MIN_ROWS // 2
+            for name, _, live in loops[1:]
+            if name == "_run_columnar"
+        )
 
     def test_columnar_kernel_never_enters_numpy(self, loops, monkeypatch):
         engine = _engine("restricted-priority", 4 * VECTOR_MIN_ROWS, "soa")

@@ -168,14 +168,19 @@ class TestManifestBackend:
         engine, result = run_batch_engine(mesh8)
         assert manifest_for_engine(engine, result).backend == "object"
 
-    def test_array_phases_report_the_fused_span_as_rank(self, mesh8):
+    def test_array_phases_report_the_fused_span_as_rank(
+        self, mesh8, monkeypatch
+    ):
+        from repro.core.soa import kernel as soa_kernel
         from repro.core.soa import numpy_available
 
         if not numpy_available():
             pytest.skip("the fused span belongs to the numpy step")
-        # An injecting run stays on the numpy step at any live count;
-        # a batch run hands its tail to the columnar loop (see the
-        # mixed-run test below).
+        # An injecting run changes loops with its live count; a floor
+        # of zero keeps this one on the numpy step from its first
+        # step, which starts empty (the mixed-run test below crosses
+        # to the columnar loop).
+        monkeypatch.setattr(soa_kernel, "VECTOR_MIN_ROWS", 0)
         profiler = PhaseProfiler()
         engine = DynamicEngine(
             mesh8,
